@@ -26,12 +26,6 @@
 //! * `chaos_overhead_pct` — wall-clock cost of the same replication
 //!   with an armed-but-empty fault plan (the fault subsystem's
 //!   standing overhead; results are asserted bit-identical),
-//! * `nodes_per_sec_10k_sharded` / `shard_speedup` /
-//!   `nodes_per_sec_per_core` — the same replication with the
-//!   boundary sweep sharded across `shard_count` cores (available
-//!   parallelism, capped at 4); the run asserts the sharded PDR is
-//!   bit-identical to the sequential one, so the ratio measures the
-//!   execution engine alone (≈ 1.0 on a single-core host),
 //! * `fabric_overhead_pct` — wall-clock cost of running a small
 //!   campaign through a 1-worker distributed fabric (lease files,
 //!   heartbeats, per-config shards, deterministic merge) relative to
@@ -217,13 +211,12 @@ struct MassiveBench {
 }
 
 /// One 10k-node massive hidden-star replication under wall-clock
-/// timing with the boundary sweep sharded across `shards` worker
-/// threads (1 = the sequential engine): `nodes_per_sec` is simulated
-/// node-seconds per wall second, the scale figure of merit
-/// (events/sec undercounts parked nodes). With `armed`, the same
-/// replication carries an armed-but-empty fault plan — the fault
-/// subsystem's standing cost, reported as `chaos_overhead_pct`.
-fn bench_massive_10k(fast: bool, shards: usize, armed: bool) -> MassiveBench {
+/// timing: `nodes_per_sec` is simulated node-seconds per wall second,
+/// the scale figure of merit (events/sec undercounts parked nodes).
+/// With `armed`, the same replication carries an armed-but-empty
+/// fault plan — the fault subsystem's standing cost, reported as
+/// `chaos_overhead_pct`.
+fn bench_massive_10k(fast: bool, armed: bool) -> MassiveBench {
     let p = qma_scenarios::ScenarioParams {
         nodes: 10_001,
         delta: 0.2,
@@ -232,14 +225,12 @@ fn bench_massive_10k(fast: bool, shards: usize, armed: bool) -> MassiveBench {
         topology: qma_scenarios::MassiveTopology::HiddenStar,
         ..qma_scenarios::ScenarioParams::default()
     };
-    qma_netsim::set_default_shards(shards);
     let run_one = if armed {
         qma_scenarios::massive::run_once_armed
     } else {
         qma_scenarios::massive::run_once
     };
     let (run, elapsed) = time_once(|| run_one(&p, qma_bench::seed()));
-    qma_netsim::set_default_shards(1);
     let wall = elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
     MassiveBench {
         nodes: run.nodes,
@@ -355,7 +346,7 @@ fn main() {
         heap.events_per_sec
     );
 
-    let massive = bench_massive_10k(env.fast, 1, false);
+    let massive = bench_massive_10k(env.fast, false);
     println!(
         "massive 10k nodes/sec   {:>10.0}  ({:.0} events/sec, {} nodes, PDR {:.3})",
         massive.nodes_per_sec, massive.events_per_sec, massive.nodes, massive.pdr
@@ -367,7 +358,7 @@ fn main() {
     // the wall-clock delta is pure bookkeeping overhead — the design
     // target is < 1 %, though single-run wall-clock noise means the
     // reported figure can wobble around zero.
-    let armed = bench_massive_10k(env.fast, 1, true);
+    let armed = bench_massive_10k(env.fast, true);
     assert_eq!(
         massive.pdr.to_bits(),
         armed.pdr.to_bits(),
@@ -378,28 +369,6 @@ fn main() {
     println!(
         "chaos overhead (armed)  {:>10.2}  % ({:.0} nodes/sec armed)",
         chaos_overhead_pct, armed.nodes_per_sec
-    );
-
-    // The same replication with the boundary sweep sharded across the
-    // available cores (capped at 4, the scaling point the PR targets).
-    // Results are bit-identical by construction — asserted on the PDR
-    // — so any wall-clock delta is pure execution-engine speedup.
-    let shard_k = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4);
-    let sharded = bench_massive_10k(env.fast, shard_k, false);
-    assert_eq!(
-        massive.pdr.to_bits(),
-        sharded.pdr.to_bits(),
-        "sharded and sequential replications must be bit-identical"
-    );
-    let shard_speedup = sharded.nodes_per_sec / massive.nodes_per_sec.max(f64::MIN_POSITIVE);
-    println!(
-        "massive 10k sharded K={shard_k} {:>8.0}  nodes/sec ({:.2}x vs K=1, {:.0} nodes/sec/core)",
-        sharded.nodes_per_sec,
-        shard_speedup,
-        sharded.nodes_per_sec / shard_k as f64
     );
 
     // The fabric's coordination cost when armed but uncontended — a
@@ -440,13 +409,6 @@ fn main() {
         .number("massive_events_per_sec", massive.events_per_sec)
         .number("massive_pdr_10k", massive.pdr)
         .number("chaos_overhead_pct", chaos_overhead_pct)
-        .integer("shard_count", shard_k as u64)
-        .number("nodes_per_sec_10k_sharded", sharded.nodes_per_sec)
-        .number(
-            "nodes_per_sec_per_core",
-            sharded.nodes_per_sec / shard_k as f64,
-        )
-        .number("shard_speedup", shard_speedup)
         .number("fabric_overhead_pct", fabric_overhead_pct)
         .integer("events_per_replication", ser.total_events / reps.max(1));
     if cfg!(feature = "alloc-count") {

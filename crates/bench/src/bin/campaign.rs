@@ -15,21 +15,6 @@
 //!   `heap` routes every event through the binary heap). Artifacts
 //!   are byte-identical either way — the flag exists to prove exactly
 //!   that, and to benchmark the boundary wheel against its fallback.
-//! * `--shards K` — shard each replication's boundary sweep across
-//!   `K` worker threads (default 1). The node population is
-//!   partitioned spatially (grid tiles / hash-ring chunks) and tick
-//!   decisions fan out per subslot boundary; world commits replay in
-//!   the deterministic barrier fold, so artifacts are byte-identical
-//!   for every `K` — the shard-smoke CI job diffs `K = 4` against
-//!   `K = 1` to prove it. Prefer combining with `--serial`: nesting
-//!   rayon-across-replications with per-boundary shard workers
-//!   multiplies thread churn without adding parallelism.
-//! * `--shard-batch-min N` — minimum boundary-bucket population for
-//!   the parallel sweep (default 192); equivalence jobs lower it to 1
-//!   so CI-sized worlds exercise the real parallel path.
-//! * `--shard-pool off` — fall back to per-boundary scoped fork/join
-//!   instead of the persistent parked worker pool (bit-identical; the
-//!   flag exists for A/B benchmarking and the determinism proof).
 //! * `--rep-timeout-s S` — per-replication wall-clock watchdog: a
 //!   replication exceeding `S` seconds becomes a `# FAILED` line
 //!   (with its reproduction seed) instead of hanging the campaign.
@@ -118,31 +103,6 @@ fn parse_args() -> Result<Args, String> {
                     }
                 };
             }
-            "--shards" => {
-                let k = argv
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&k| k >= 1)
-                    .ok_or("--shards needs a positive shard count")?;
-                qma_netsim::set_default_shards(k);
-            }
-            "--shard-batch-min" => {
-                let min = argv
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&m| m >= 1)
-                    .ok_or("--shard-batch-min needs a positive tick count")?;
-                qma_netsim::set_default_shard_batch_min(min);
-            }
-            "--shard-pool" => {
-                match argv.next().as_deref() {
-                    Some("on") => qma_netsim::set_default_shard_pool(true),
-                    Some("off") => qma_netsim::set_default_shard_pool(false),
-                    other => {
-                        return Err(format!("--shard-pool needs `on` or `off`, got {other:?}"))
-                    }
-                };
-            }
             "--rep-timeout-s" => {
                 let s = argv
                     .next()
@@ -191,8 +151,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: campaign [--serial] [--dry-run] [--out-dir DIR] \
-                     [--scheduler wheel|heap] [--shards K] [--shard-batch-min N] \
-                     [--shard-pool on|off] [--rep-timeout-s S] \
+                     [--scheduler wheel|heap] [--rep-timeout-s S] \
                      [--workers N] [--join DIR] [--worker-id ID] [--max-attempts M] \
                      [--heartbeat-ms MS] [--lease-stale-ms MS] SPEC.toml..."
                     .into())
@@ -255,13 +214,12 @@ fn run_spec(args: &Args, path: &PathBuf) -> Result<Option<SpecResult>, String> {
         .expand()
         .map_err(|e| format!("{}: {e}", path.display()))?;
     println!(
-        "# campaign {} — scenario {}, {} configs × {} replications, seed {}, {} shard(s)",
+        "# campaign {} — scenario {}, {} configs × {} replications, seed {}",
         spec.name,
         spec.scenario,
         points.len(),
         spec.replications,
-        spec.master_seed,
-        qma_netsim::default_shards()
+        spec.master_seed
     );
     if args.dry_run {
         for (i, point) in points.iter().enumerate() {

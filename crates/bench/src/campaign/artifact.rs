@@ -300,8 +300,25 @@ pub fn render_json(meta: &CampaignMeta, rows: &[ArtifactRow]) -> String {
     out
 }
 
+/// `s` as a JSON string literal. Escapes `"`, `\` and the control
+/// characters U+0000–U+001F (RFC 8259 §7), so a multi-line panic
+/// message still renders as valid JSON.
 pub(crate) fn json_str(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]

@@ -418,7 +418,19 @@ fn json_string_field(text: &str, key: &str) -> Option<String> {
     loop {
         match chars.next()? {
             '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
+            '\\' => out.push(match chars.next()? {
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                'u' => {
+                    let mut code = 0;
+                    for _ in 0..4 {
+                        code = code * 16 + chars.next()?.to_digit(16)?;
+                    }
+                    char::from_u32(code)?
+                }
+                c => c,
+            }),
             c => out.push(c),
         }
     }
@@ -1158,10 +1170,19 @@ skew_us = [0, -100000]
             master_seed: 11,
             rep: 0,
             seed: 0xDEAD_BEEF,
-            message: "panicked: \"budget, exceeded\" at t=2.5s".into(),
+            message: "assertion `left == right` failed: \"budget, exceeded\"\n  \
+                      left: 2\n right:\t3\r\u{1}"
+                .into(),
         };
-        let parsed = QuarantineRecord::parse(&note.render()).unwrap();
-        assert_eq!(parsed, note, "commas and quotes in messages must survive");
+        let rendered = note.render();
+        // Control characters are escaped, so the record keeps one line
+        // per field and stays valid JSON.
+        assert_eq!(rendered.lines().count(), 9, "{rendered}");
+        let parsed = QuarantineRecord::parse(&rendered).unwrap();
+        assert_eq!(
+            parsed, note,
+            "commas, quotes and control characters in messages must survive"
+        );
     }
 
     #[test]

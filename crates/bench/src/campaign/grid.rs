@@ -14,6 +14,8 @@
 //!    perturbs an existing config's randomness, which is what lets a
 //!    resumed campaign produce byte-identical artifacts.
 
+use std::fmt::Write as _;
+
 use qma_des::SeedSequence;
 use qma_scenarios::{MacKind, MassiveTopology, ScenarioParams};
 
@@ -57,6 +59,69 @@ impl ParamValue {
             ParamValue::Int(i) if *i >= 0 => Some(*i as u64),
             _ => None,
         }
+    }
+
+    /// Does `self` render to the same canonical string as `other`?
+    /// Decided without allocating: a pair of one variant compares
+    /// directly (shortest-roundtrip rendering is injective on non-NaN
+    /// floats, and every NaN renders `NaN`); a mixed pair streams one
+    /// rendering against the other.
+    fn renders_like(&self, other: &ParamValue) -> bool {
+        match (self, other) {
+            (ParamValue::Int(a), ParamValue::Int(b)) => a == b,
+            (ParamValue::Str(a), ParamValue::Str(b)) => a == b,
+            (ParamValue::Float(a), ParamValue::Float(b)) => {
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+            }
+            (ParamValue::Float(_), _) => other.renders_like(self),
+            (ParamValue::Str(s), _) => other.renders_as(s),
+            (ParamValue::Int(_) | ParamValue::Bool(_), _) => {
+                let mut text = ShortText::default();
+                write!(text, "{self}").is_ok() && other.renders_as(text.as_str())
+            }
+        }
+    }
+
+    /// Does `self` render exactly as `text`?
+    fn renders_as(&self, text: &str) -> bool {
+        let mut rest = Expect(text);
+        write!(rest, "{self}").is_ok() && rest.0.is_empty()
+    }
+}
+
+/// A `fmt::Write` sink that consumes the text it expects and fails on
+/// the first byte that differs.
+struct Expect<'a>(&'a str);
+
+impl std::fmt::Write for Expect<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 = self.0.strip_prefix(s).ok_or(std::fmt::Error)?;
+        Ok(())
+    }
+}
+
+/// A stack buffer long enough for any rendered `i64` or `bool`.
+#[derive(Default)]
+struct ShortText {
+    bytes: [u8; 20],
+    len: usize,
+}
+
+impl ShortText {
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).unwrap_or_default()
+    }
+}
+
+impl std::fmt::Write for ShortText {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let end = self.len + s.len();
+        self.bytes
+            .get_mut(self.len..end)
+            .ok_or(std::fmt::Error)?
+            .copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
     }
 }
 
@@ -236,6 +301,13 @@ pub fn expand_grid(
         if fixed.iter().any(|(fk, _)| fk == *key) {
             return Err(format!("{key} appears in both [fixed] and [grid]"));
         }
+        // Two values with one canonical rendering would expand into
+        // configs sharing a key (and a seed): the same run, twice.
+        for (i, a) in values.iter().enumerate() {
+            if values[i + 1..].iter().any(|b| a.renders_like(b)) {
+                return Err(format!("grid axis {key} lists {a} twice"));
+            }
+        }
     }
 
     let total: usize = axes.iter().map(|(_, vs)| vs.len()).product();
@@ -338,6 +410,34 @@ mod tests {
         assert!(expand_grid(&[], &[axis("a", &[])]).is_err());
         assert!(expand_grid(&[], &[axis("a", &[1]), axis("a", &[2])]).is_err());
         assert!(expand_grid(&[("a".into(), ParamValue::Int(1))], &[axis("a", &[1, 2])]).is_err());
+
+        // A value listed twice, literally or only canonically, would
+        // run one config twice under one key.
+        let int = ParamValue::Int;
+        let float = ParamValue::Float;
+        let text = |v: &str| ParamValue::Str(v.into());
+        for (values, shown) in [
+            (vec![int(25), float(25.0)], "25"),
+            (vec![text("qma"), text("qma")], "qma"),
+            (vec![int(3), int(5), int(3)], "3"),
+            (vec![float(0.5), float(0.5)], "0.5"),
+            (vec![text("7"), int(7)], "7"),
+        ] {
+            let err = expand_grid(&[], &[("x".into(), values)]).unwrap_err();
+            assert!(
+                err.contains("axis x") && err.contains(shown),
+                "error must name the axis and the value: {err}"
+            );
+        }
+        // Values that only look alike stay distinct.
+        for values in [
+            vec![int(0), float(-0.0)],
+            vec![float(0.1), float(0.10000000000000002)],
+            vec![int(1), ParamValue::Bool(true)],
+            vec![int(i64::MIN), int(i64::MAX)],
+        ] {
+            assert_eq!(expand_grid(&[], &[("x".into(), values)]).unwrap().len(), 2);
+        }
     }
 
     #[test]

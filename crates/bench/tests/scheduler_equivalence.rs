@@ -32,8 +32,10 @@ fn artifacts(spec: &CampaignSpec, tag: &str, mode: Parallelism, wheel: bool) -> 
 /// global within this test binary.
 #[test]
 fn campaign_artifacts_are_scheduler_invariant() {
-    // A hidden-node point (heap-heavy ACK timers + wheel ticks) and a
-    // massive point (wheel-dominant, sparse connectivity) — both
+    // A hidden-node point (heap-heavy ACK timers + wheel ticks), a
+    // massive point (wheel-dominant, sparse connectivity) and a chaos
+    // point (crash + jam + drift striking mid-run: heap fault events
+    // among wheel ticks, resilience columns in the artifact) — all
     // tiny enough for CI.
     for spec_text in [
         r#"
@@ -64,6 +66,27 @@ duration_s = 10
 
 [grid]
 nodes = [40]
+topology = ["hidden_star", "grid"]
+"#,
+        r#"
+[campaign]
+name = "eq-chaos"
+scenario = "chaos"
+seed = 7
+replications = 2
+
+[fixed]
+delta = 0.6
+duration_s = 12
+fault_start_s = 4
+fault_duration_s = 3
+crash_frac = 0.25
+jam_frac = 0.15
+drift_frac = 0.25
+clamp_budget = 100000
+
+[grid]
+nodes = [120]
 topology = ["hidden_star", "grid"]
 "#,
     ] {

@@ -38,23 +38,15 @@
 //! assert_eq!(end, SimTime::from_millis(20));
 //! ```
 
-// `deny`, not `forbid`: the shard pool (`pool`) lends stack borrows
-// to persistent worker threads, which needs two narrowly scoped,
-// SAFETY-documented lifetime erasures; everything else stays
-// unsafe-free and any new unsafe block must carry an explicit allow.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod exec;
-pub mod pool;
 pub mod sched;
 pub mod seed;
-pub mod shard;
 pub mod time;
 
 pub use exec::{Executor, Handler, StopReason};
-pub use pool::ShardPool;
 pub use sched::{EventEntry, EventKey, Scheduler};
 pub use seed::SeedSequence;
-pub use shard::{merge_by_pos, ShardPlan};
 pub use time::{SimDuration, SimTime};

@@ -204,45 +204,6 @@ impl<E> BoundaryWheel<E> {
         (time, event, next_head)
     }
 
-    /// Sequence number of the *last* entry in the cursor bucket — the
-    /// upper bound of the `(time, seq)` keys a whole-bucket drain
-    /// would deliver. Must only be called while `len > 0`.
-    #[inline]
-    fn current_bucket_last_seq(&self) -> u64 {
-        let bucket = &self.buckets[(self.cursor & self.mask) as usize];
-        bucket.entries.last().expect("cursor bucket non-empty").0
-    }
-
-    /// Drains every remaining entry of the cursor bucket (in sequence
-    /// order, i.e. exactly the order repeated [`BoundaryWheel::pop`]
-    /// calls would deliver them) into `out`, returning the count and
-    /// the next head's `(time, seq)`. Must only be called while
-    /// `len > 0`.
-    fn drain_current_bucket<C: Extend<(SimTime, E)>>(
-        &mut self,
-        out: &mut C,
-    ) -> (usize, Option<(SimTime, u64)>) {
-        let slot = (self.cursor & self.mask) as usize;
-        let bucket = &mut self.buckets[slot];
-        let n = bucket.entries.len() - self.head_pos;
-        out.extend(
-            bucket
-                .entries
-                .drain(self.head_pos..)
-                .map(|(_, time, event)| (time, event.expect("entry taken twice"))),
-        );
-        bucket.entries.clear(); // drop already-consumed prefix, keep allocation
-        self.head_pos = 0;
-        self.len -= n;
-        let next = if self.len > 0 {
-            self.advance_cursor();
-            self.head()
-        } else {
-            None
-        };
-        (n, next)
-    }
-
     /// Walks the cursor forward to the next pending bucket. Bounded by
     /// the ring size; amortized O(1) because the cursor only ever
     /// moves forward through indices that held (or could have held)
@@ -577,53 +538,6 @@ impl<E> Scheduler<E> {
             Some(e) if e.time <= horizon => Some(self.pop_heap()),
             _ => None,
         }
-    }
-
-    /// Drains one **whole boundary bucket** at once, when doing so is
-    /// indistinguishable from popping its entries one by one: the
-    /// bucket's events all fire at one instant `t ≤ horizon`, and the
-    /// heap's head (if any) fires strictly after the bucket's last
-    /// entry in `(time, seq)` order. Entries are appended to `out` as
-    /// `(time, event)` in exact delivery order and counted as popped;
-    /// `now` advances to the bucket instant.
-    ///
-    /// Returns the number of drained events; `0` means "no batch
-    /// available here" (empty wheel, horizon exceeded, or a heap event
-    /// interleaves) — the caller should fall back to
-    /// [`Scheduler::pop_at_or_before`], which performs the exact
-    /// single-event merge, and retry the batch path afterwards.
-    ///
-    /// This is the slot-synchronous kernel's batch entry point: at a
-    /// subslot boundary every armed tick shares one bucket, so the
-    /// caller gets the whole boundary population in one call and can
-    /// fan its node-local work out across shards before committing
-    /// world effects in this exact order.
-    pub fn drain_boundary_bucket(
-        &mut self,
-        horizon: SimTime,
-        out: &mut Vec<(SimTime, E)>,
-    ) -> usize {
-        let Some((wt, _)) = self.wheel_head else {
-            return 0;
-        };
-        if wt > horizon {
-            return 0;
-        }
-        let wheel = self.wheel.as_mut().expect("wheel head implies wheel");
-        if let Some(h) = self.heap.first() {
-            // Sequence numbers are globally unique, so comparing the
-            // heap head against the bucket's *last* key decides
-            // whether any heap event interleaves the bucket.
-            if (h.time, h.seq) < (wt, wheel.current_bucket_last_seq()) {
-                return 0;
-            }
-        }
-        let (n, next_head) = wheel.drain_current_bucket(out);
-        self.wheel_head = next_head;
-        debug_assert!(wt >= self.now);
-        self.now = wt;
-        self.popped_total += n as u64;
-        n
     }
 
     #[inline]
@@ -1212,76 +1126,6 @@ mod tests {
         assert_eq!(s.pop().unwrap().event, 30);
         assert_eq!(s.pop().unwrap().event, 40);
         assert!(s.pop().is_none());
-    }
-
-    #[test]
-    fn drain_boundary_bucket_matches_pop_order() {
-        // Two schedulers, identical workload: one drains buckets
-        // wholesale, the other pops singly. Delivery order, times and
-        // popped_total must agree exactly.
-        let build = || {
-            let mut s: Scheduler<u32> = Scheduler::new();
-            s.enable_wheel(16);
-            for (i, v) in [(2u64, 20u32), (1, 10), (2, 21), (1, 11), (3, 30)] {
-                s.schedule_boundary(boundary_time(i), i, v);
-            }
-            s
-        };
-        let mut singles = build();
-        let mut batched = build();
-
-        let mut single_order = Vec::new();
-        while let Some(e) = singles.pop() {
-            single_order.push((e.time, e.event));
-        }
-
-        let mut batch_order = Vec::new();
-        loop {
-            let n = batched.drain_boundary_bucket(SimTime::MAX, &mut batch_order);
-            if n == 0 {
-                match batched.pop() {
-                    Some(e) => batch_order.push((e.time, e.event)),
-                    None => break,
-                }
-            }
-        }
-        assert_eq!(single_order, batch_order);
-        assert_eq!(singles.popped_total(), batched.popped_total());
-    }
-
-    #[test]
-    fn drain_boundary_bucket_defers_to_interleaving_heap_events() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        s.enable_wheel(16);
-        s.schedule_boundary(boundary_time(2), 2, 20); // seq 0
-        s.schedule_at(boundary_time(2), 99); // seq 1, same instant
-        s.schedule_boundary(boundary_time(2), 2, 21); // seq 2
-
-        // The heap event's (time, seq) sits between the bucket's two
-        // entries: a whole-bucket drain would reorder, so it must
-        // refuse.
-        let mut out = Vec::new();
-        assert_eq!(s.drain_boundary_bucket(SimTime::MAX, &mut out), 0);
-        assert_eq!(s.pop().unwrap().event, 20);
-        assert_eq!(s.pop().unwrap().event, 99);
-        // With the interleaver gone, the remaining half-consumed
-        // bucket drains fine.
-        assert_eq!(s.drain_boundary_bucket(SimTime::MAX, &mut out), 1);
-        assert_eq!(out, vec![(boundary_time(2), 21)]);
-        assert!(s.pop().is_none());
-        assert_eq!(s.popped_total(), 3);
-    }
-
-    #[test]
-    fn drain_boundary_bucket_respects_horizon() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        s.enable_wheel(16);
-        s.schedule_boundary(boundary_time(5), 5, 50);
-        let mut out = Vec::new();
-        assert_eq!(s.drain_boundary_bucket(boundary_time(4), &mut out), 0);
-        assert!(out.is_empty());
-        assert_eq!(s.drain_boundary_bucket(boundary_time(5), &mut out), 1);
-        assert_eq!(s.now(), boundary_time(5));
     }
 
     #[test]

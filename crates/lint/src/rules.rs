@@ -28,8 +28,8 @@ pub const RULE_NAMES: [&str; 7] = [
 ];
 
 /// Sim crates: everything that executes inside a replication and
-/// therefore must be bit-deterministic across `--shards K`, engines
-/// and processes.
+/// therefore must be bit-deterministic across scheduler engines,
+/// replication threads and processes.
 const SIM_CRATES: [&str; 11] = [
     "core",
     "des",
@@ -53,11 +53,7 @@ const ITER_METHODS: [&str; 6] = ["iter", "iter_mut", "keys", "values", "values_m
 /// The inventoried unsafe blocks of the workspace. `unsafe` anywhere
 /// else is a finding; an inventoried file that no longer contains
 /// `unsafe` is *also* a finding, so the inventory cannot rot.
-pub const UNSAFE_INVENTORY: [(&str, &str); 3] = [
-    (
-        "crates/des/src/pool.rs",
-        "ShardPool lends scoped stack borrows to persistent workers; two SAFETY-documented lifetime erasures",
-    ),
+pub const UNSAFE_INVENTORY: [(&str, &str); 2] = [
     (
         "crates/bench/src/bin/qmad.rs",
         "libc sigaction registration for SIGTERM lame-duck; async-signal-safe flag store only",
@@ -475,8 +471,9 @@ pub fn check_file(path: &str, source: &str) -> Vec<Finding> {
                         line,
                         "bare-thread",
                         format!(
-                            "bare `{what}` in the kernel; shard work must run on \
-                             qma_des::ShardPool or std::thread::scope"
+                            "bare `{what}` in the kernel; a replication runs on \
+                             one thread, and any helper thread must be scoped \
+                             (std::thread::scope)"
                         ),
                     ));
                 }
@@ -644,7 +641,7 @@ mod tests {
 
     #[test]
     fn stale_inventory_entry_is_flagged() {
-        let hits = lint("crates/des/src/pool.rs", "fn totally_safe_now() {}\n");
+        let hits = lint("crates/bench/src/bin/qmad.rs", "fn totally_safe_now() {}\n");
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("prune"), "{hits:?}");
     }

@@ -174,11 +174,10 @@ impl QmaMac {
         self.phase = Phase::Quiet;
     }
 
-    /// One subslot tick, sequential engine: the node-local decision
-    /// followed immediately by its world commit. The sharded engine
-    /// calls [`QmaMac::decide_tick`] and the commit separately (decide
-    /// in parallel per shard, commit in the barrier fold) — both
-    /// engines run this exact code, so they cannot diverge.
+    /// One subslot tick: the node-local decision followed immediately
+    /// by its world commit. [`MacProtocol::subslot_decide`] exposes
+    /// the decision half on its own, so both paths run this exact
+    /// code and cannot diverge.
     fn subslot_tick(&mut self, ctx: &mut MacCtx<'_>) {
         let plan = {
             let mut view = ctx.tick_view();
@@ -190,8 +189,7 @@ impl QmaMac {
     /// The node-local half of the subslot tick (paper Algorithm 1):
     /// evaluate the pending QBackoff, park or re-arm, and pick this
     /// subslot's action. Touches only `self` and the [`TickView`] —
-    /// no scheduler, no medium mutation — which is what makes it safe
-    /// to run on a shard worker.
+    /// no scheduler, no medium mutation.
     fn decide_tick(&mut self, view: &mut TickView<'_>) -> TickPlan {
         let now = view.now();
         // Hot path: the tick fires exactly at the boundary cached when

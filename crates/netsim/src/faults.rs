@@ -8,15 +8,14 @@
 //! test) derives the cohorts and instants from its own seeded RNG, so
 //! the same seed always yields the same disturbance trace.
 //!
-//! # Determinism under sharding
+//! # Determinism
 //!
 //! Fault events travel through the scheduler's binary heap, never the
-//! boundary wheel. The sharded boundary sweep refuses to drain a
-//! wheel bucket while an earlier-or-equal `(time, seq)` heap event is
-//! pending, so a fault always executes sequentially, at exactly the
-//! same point of the event order, at any `--shards K` — the PR 5
-//! bit-identity contract extends to faulted runs with no extra
-//! machinery.
+//! boundary wheel, and are scheduled in plan order at build time. The
+//! scheduler merges heap and wheel in exact `(time, seq)` order, so a
+//! fault executes at the same point of the event order under either
+//! scheduler engine — the wheel/heap bit-identity contract extends to
+//! faulted runs with no extra machinery.
 
 use qma_des::{SimDuration, SimTime};
 

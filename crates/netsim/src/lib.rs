@@ -70,9 +70,7 @@ pub use frame::{Address, AppInfo, Frame, FrameKind, Payload};
 pub use metrics::{LearnerSample, MacCounters, MetricsHub, SlotAction, TxResult};
 pub use queue::TxQueue;
 pub use world::{
-    default_scheduler_wheel, default_shard_batch_min, default_shard_pool, default_shards,
-    set_default_scheduler_wheel, set_default_shard_batch_min, set_default_shard_pool,
-    set_default_shards, ActiveSet, MacCtx, MacProtocol, MacTimerKind, NodeId,
-    PastClampBudgetExceeded, Sim, SimBuilder, TickAction, TickPlan, TickView, UpperCtx, UpperLayer,
-    SHARD_BATCH_MIN_DEFAULT,
+    default_scheduler_wheel, set_default_scheduler_wheel, ActiveSet, MacCtx, MacProtocol,
+    MacTimerKind, NodeId, PastClampBudgetExceeded, Sim, SimBuilder, TickAction, TickPlan, TickView,
+    UpperCtx, UpperLayer,
 };

@@ -114,8 +114,8 @@ enum Event {
     },
     FrameBoundary,
     /// A scheduled fault from the armed [`crate::FaultPlan`] (index
-    /// into its event list). Always heap-scheduled, so the sharded
-    /// boundary sweep serialises around it — see [`crate::faults`].
+    /// into its event list). Always heap-scheduled — see
+    /// [`crate::faults`].
     Fault {
         idx: u32,
     },
@@ -320,9 +320,9 @@ impl Nodes {
     }
 }
 
-/// The `queue_diff` fold shared by [`MacCtx::queue_diff`] (sequential
-/// path) and [`TickView::queue_diff`] (sharded decide path): one
-/// implementation, so the two engines cannot diverge. See
+/// The `queue_diff` fold shared by [`MacCtx::queue_diff`] and
+/// [`TickView::queue_diff`]: one implementation, so a subslot decision
+/// sees exactly what every other MAC callback sees. See
 /// [`MacCtx::queue_diff`] for the semantics.
 fn queue_diff_value(now: SimTime, i: usize, queue: &TxQueue, levels: &NeighborLevels) -> i32 {
     let local = queue.len() as f64;
@@ -509,8 +509,7 @@ impl World {
         if self.nodes.skew_any && self.nodes.skew_us[i] != 0 {
             // A skewed node's tick leaves the boundary grid, so it
             // goes straight to the heap — bucket times in the wheel
-            // stay canonical, and heap events serialise the sharded
-            // sweep around them (exact order at any shard count).
+            // stay canonical.
             sched.schedule_at(self.skewed_time(i, at), event);
             return;
         }
@@ -520,10 +519,9 @@ impl World {
 
     /// Starts a CCA for `node` — the shared backend of
     /// [`MacCtx::start_cca`] and the tick-plan commit. The initial
-    /// energy snapshot reads the medium at commit time, so committing
-    /// a boundary bucket in bucket order observes exactly the
-    /// transmissions earlier bucket positions already started — the
-    /// single-core semantics.
+    /// energy snapshot reads the medium at commit time, so it observes
+    /// exactly the transmissions that earlier events at the same
+    /// instant already started.
     fn start_cca_internal(&mut self, node: NodeId, sched: &mut Scheduler<Event>) {
         let now = sched.now();
         let i = node.index();
@@ -541,9 +539,8 @@ impl World {
 
     /// Commits a [`TickPlan`]: re-arm (or park) the subslot tick, then
     /// execute the decided action. The order — rearm before action —
-    /// matches the sequential MAC tick, so the scheduler's sequence
-    /// numbers (and with them every future tie-break) come out
-    /// identical in both engines.
+    /// fixes the scheduler sequence numbers, and with them every
+    /// future tie-break.
     fn commit_tick_plan(&mut self, node: NodeId, plan: TickPlan, sched: &mut Scheduler<Event>) {
         match plan.rearm {
             Some((at, frame_index, subslot)) => {
@@ -570,11 +567,10 @@ impl World {
 
 /// What a slot-synchronous MAC decided at one subslot boundary — the
 /// output of [`MacProtocol::subslot_decide`], applied to the world by
-/// [`MacCtx::apply_tick_plan`] (or, in the sharded sweep, by the
-/// barrier fold). Splitting the tick into a node-local *decision* and
-/// a world *commit* is what lets one replication fan its boundary
-/// sweep out across cores while committing in the exact single-core
-/// order.
+/// [`MacCtx::apply_tick_plan`]. Splitting the tick into a node-local
+/// *decision* and a world *commit* keeps the decision free of
+/// scheduler and medium side effects, so a batched kernel could
+/// decide a whole boundary at once.
 #[derive(Debug, Clone)]
 pub struct TickPlan {
     /// Re-arm the subslot timer for this boundary `(time, frame
@@ -610,9 +606,8 @@ pub enum TickAction {
 /// the node's own queue (read), RNG (mutate), neighbour-level row
 /// (read), the shared clock/PHY tables, and this node's own radio
 /// flag. Deliberately **no** scheduler, no medium mutation, no other
-/// node's state — that contract is what makes decisions of different
-/// nodes at one boundary independent, hence safe to compute on
-/// different shards while producing bit-identical results.
+/// node's state — that contract makes the decisions of different
+/// nodes at one boundary independent of each other.
 pub struct TickView<'a> {
     now: SimTime,
     node: NodeId,
@@ -655,9 +650,7 @@ impl<'a> TickView<'a> {
         self.rng
     }
 
-    /// Is this node currently transmitting? (Own-radio state only —
-    /// mutated exclusively by this node's own events, so the snapshot
-    /// cannot race with other shards.)
+    /// Is this node currently transmitting? (Own-radio state only.)
     pub fn transmitting(&self) -> bool {
         self.transmitting
     }
@@ -671,11 +664,9 @@ impl<'a> TickView<'a> {
 
 /// The MAC protocol interface.
 ///
-/// One object per node; `Send` so a sharded sweep may move a shard's
-/// MACs to a worker thread (all state is per-node plain data — no MAC
-/// shares anything mutable). All methods receive a [`MacCtx`] scoped
-/// to that node.
-pub trait MacProtocol: Send {
+/// One object per node. All methods receive a [`MacCtx`] scoped to
+/// that node.
+pub trait MacProtocol {
     /// Called once when the node becomes active.
     fn start(&mut self, ctx: &mut MacCtx<'_>);
     /// A [`MacTimerKind`] timer armed by this MAC fired.
@@ -708,10 +699,10 @@ pub trait MacProtocol: Send {
         None
     }
     /// Does this MAC implement the decide/commit subslot-tick split
-    /// ([`MacProtocol::subslot_decide`])? The sharded sweep only
-    /// engages when **every** node's MAC does; mixed or legacy
-    /// populations fall back to sequential [`MacProtocol::on_timer`]
-    /// delivery.
+    /// ([`MacProtocol::subslot_decide`])? The world always delivers
+    /// ticks through [`MacProtocol::on_timer`]; a caller that wants
+    /// the node-local decision alone (a delegating wrapper, say)
+    /// checks this first.
     fn supports_split_tick(&self) -> bool {
         false
     }
@@ -892,10 +883,7 @@ impl<'a> MacCtx<'a> {
     }
 
     /// Applies a [`TickPlan`] — the world-commit half of a subslot
-    /// tick. The sequential engine calls this right after
-    /// [`MacProtocol::subslot_decide`]; the sharded engine calls the
-    /// same commit in the barrier fold, so both engines execute one
-    /// code path in one order.
+    /// tick, called right after [`MacProtocol::subslot_decide`].
     pub fn apply_tick_plan(&mut self, plan: TickPlan) {
         self.world.commit_tick_plan(self.node, plan, self.sched);
     }
@@ -1154,9 +1142,6 @@ pub struct SimBuilder<M = Box<dyn MacProtocol>, U = Box<dyn UpperLayer>> {
     node_starts: BTreeMap<u32, SimTime>,
     record_learner: bool,
     scheduler_wheel: bool,
-    shards: usize,
-    shard_batch_min: usize,
-    shard_pool: bool,
     fault_plan: Option<crate::faults::FaultPlan>,
     past_clamp_budget: u64,
 }
@@ -1180,62 +1165,6 @@ pub fn default_scheduler_wheel() -> bool {
     SCHEDULER_WHEEL_DEFAULT.load(std::sync::atomic::Ordering::SeqCst)
 }
 
-/// Process-wide default for [`SimBuilder::shards`] — `1` (no
-/// sharding) unless overridden. Exists so the campaign binary's
-/// `--shards` flag (and shard-equivalence tests) can flip the
-/// execution engine underneath code that builds its simulations
-/// internally, exactly like the scheduler-wheel default above.
-static SHARDS_DEFAULT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(1);
-
-/// Sets the process-wide default shard count (see
-/// [`SimBuilder::shards`]). Values below 1 are treated as 1.
-pub fn set_default_shards(shards: usize) {
-    SHARDS_DEFAULT.store(shards.max(1), std::sync::atomic::Ordering::SeqCst);
-}
-
-/// The current process-wide shard-count default.
-pub fn default_shards() -> usize {
-    SHARDS_DEFAULT.load(std::sync::atomic::Ordering::SeqCst)
-}
-
-/// Default for [`SimBuilder::shard_batch_min`]: boundary buckets
-/// smaller than this run sequentially even when sharding is on — the
-/// per-barrier fork/join overhead needs a population to amortise over.
-pub const SHARD_BATCH_MIN_DEFAULT: usize = 192;
-
-/// Process-wide default for [`SimBuilder::shard_batch_min`].
-static SHARD_BATCH_MIN: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(SHARD_BATCH_MIN_DEFAULT);
-
-/// Sets the process-wide default for
-/// [`SimBuilder::shard_batch_min`] — equivalence tests force the
-/// parallel sweep onto small worlds by lowering it to 1.
-pub fn set_default_shard_batch_min(min: usize) {
-    SHARD_BATCH_MIN.store(min.max(1), std::sync::atomic::Ordering::SeqCst);
-}
-
-/// The current process-wide shard-batch-minimum default.
-pub fn default_shard_batch_min() -> usize {
-    SHARD_BATCH_MIN.load(std::sync::atomic::Ordering::SeqCst)
-}
-
-/// Process-wide default for [`SimBuilder::shard_pool`] — `true`
-/// unless overridden. Exists so the determinism suite can pin the
-/// scoped fork/join path underneath scenario code that builds its
-/// simulations internally, and diff it against the pool.
-static SHARD_POOL_DEFAULT: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Sets the process-wide default for the persistent shard worker pool
-/// (see [`SimBuilder::shard_pool`]).
-pub fn set_default_shard_pool(enabled: bool) {
-    SHARD_POOL_DEFAULT.store(enabled, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// The current process-wide shard-pool default.
-pub fn default_shard_pool() -> bool {
-    SHARD_POOL_DEFAULT.load(std::sync::atomic::Ordering::SeqCst)
-}
-
 impl SimBuilder {
     /// Starts a builder over a connectivity graph with a master seed.
     pub fn new(conn: Connectivity, seed: u64) -> Self {
@@ -1252,9 +1181,6 @@ impl SimBuilder {
             node_starts: BTreeMap::new(),
             record_learner: true,
             scheduler_wheel: default_scheduler_wheel(),
-            shards: default_shards(),
-            shard_batch_min: default_shard_batch_min(),
-            shard_pool: default_shard_pool(),
             fault_plan: None,
             past_clamp_budget: u64::MAX,
         }
@@ -1307,9 +1233,6 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
             node_starts: self.node_starts,
             record_learner: self.record_learner,
             scheduler_wheel: self.scheduler_wheel,
-            shards: self.shards,
-            shard_batch_min: self.shard_batch_min,
-            shard_pool: self.shard_pool,
             fault_plan: self.fault_plan,
             past_clamp_budget: self.past_clamp_budget,
         }
@@ -1336,9 +1259,6 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
             node_starts: self.node_starts,
             record_learner: self.record_learner,
             scheduler_wheel: self.scheduler_wheel,
-            shards: self.shards,
-            shard_batch_min: self.shard_batch_min,
-            shard_pool: self.shard_pool,
             fault_plan: self.fault_plan,
             past_clamp_budget: self.past_clamp_budget,
         }
@@ -1364,43 +1284,6 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
     /// equivalence tests and wheel-vs-heap benchmarks.
     pub fn scheduler_wheel(mut self, on: bool) -> Self {
         self.scheduler_wheel = on;
-        self
-    }
-
-    /// Shards one replication's boundary sweep across `k` worker
-    /// threads (default: the process-wide default, normally 1). The
-    /// node population is partitioned into `k` contiguous ranges —
-    /// spatial tiles on the row-major grid, hash-ring chunks on the
-    /// hidden star — and at every subslot boundary each shard computes
-    /// its nodes' tick decisions in parallel; world effects are then
-    /// committed in the deterministic ascending bucket order, so
-    /// results are **bit-identical for every `k`**. Requires the
-    /// boundary wheel and a population whose MACs all implement the
-    /// decide/commit split; anything else falls back to the sequential
-    /// engine (same results, one core).
-    pub fn shards(mut self, k: usize) -> Self {
-        self.shards = k.max(1);
-        self
-    }
-
-    /// Minimum boundary-bucket population for the parallel sweep
-    /// (default [`SHARD_BATCH_MIN_DEFAULT`]); smaller buckets run
-    /// sequentially. Exposed so equivalence tests can force the
-    /// parallel path on small worlds.
-    pub fn shard_batch_min(mut self, min: usize) -> Self {
-        self.shard_batch_min = min.max(1);
-        self
-    }
-
-    /// Runs the sharded boundary sweep on a persistent condvar-parked
-    /// worker pool (default: the process-wide default, normally on)
-    /// instead of a per-boundary `std::thread::scope` fork/join.
-    /// Results are **bit-identical either way** — the pool changes
-    /// where decide tasks run, never what they compute — and the
-    /// determinism suite diffs the two paths to prove it. Irrelevant
-    /// for single-shard plans (no threads either way).
-    pub fn shard_pool(mut self, on: bool) -> Self {
-        self.shard_pool = on;
         self
     }
 
@@ -1432,11 +1315,6 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
     pub fn build(self) -> Sim<M, U> {
         let mac_factory = self.mac_factory.expect("a MAC factory is required");
         let n = self.conn.len();
-        let plan = qma_des::ShardPlan::contiguous(n, self.shards);
-        // The spatial medium partition (border classification) only
-        // exists for sharded runs; K = 1 has no borders by definition.
-        let partition = (plan.shards() > 1)
-            .then(|| qma_phy::MediumPartition::from_bounds(&self.conn, plan.bounds()));
         let seeds = SeedSequence::new(self.seed);
         let nodes = Nodes {
             queue: (0..n).map(|_| TxQueue::new(self.queue_capacity)).collect(),
@@ -1485,10 +1363,10 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
         }
 
         // Fault events are heap-scheduled in plan order, so ties at
-        // one instant fire in authoring order and the sharded sweep
-        // serialises around them (see `crate::faults`). A budget or
-        // an armed plan declares past-time clamps expected — counted
-        // against the budget instead of the debug-build panic.
+        // one instant fire in authoring order (see `crate::faults`).
+        // A budget or an armed plan declares past-time clamps expected
+        // — counted against the budget instead of the debug-build
+        // panic.
         if self.past_clamp_budget != u64::MAX || self.fault_plan.is_some() {
             sched.set_clamp_tolerant(true);
         }
@@ -1497,18 +1375,6 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
                 sched.schedule_at(ev.at, Event::Fault { idx: idx as u32 });
             }
         }
-
-        // The sharded sweep only engages when every node's MAC opted
-        // into the decide/commit split; a single legacy MAC in the
-        // population falls the whole run back to sequential delivery.
-        let split_ticks = self.scheduler_wheel && macs.iter().all(|m| m.supports_split_tick());
-        let shard_scratch = ShardScratch::new(plan.shards());
-        // One persistent pool per simulation (K − 1 threads: the
-        // driver thread participates in every barrier), parked on a
-        // condvar between boundaries. Only built when the sharded
-        // sweep can actually engage.
-        let shard_pool = (self.shard_pool && plan.shards() > 1 && split_ticks)
-            .then(|| qma_des::ShardPool::new(plan.shards() - 1));
 
         Sim {
             world: World {
@@ -1526,37 +1392,8 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
             node_starts: self.node_starts,
             record_learner: self.record_learner,
             delivered_scratch: Vec::new(),
-            plan,
-            partition,
-            split_ticks,
-            shard_batch_min: self.shard_batch_min,
-            batch_scratch: Vec::new(),
-            shard_scratch,
-            shard_pool,
             fault_plan: self.fault_plan,
             past_clamp_budget: self.past_clamp_budget,
-        }
-    }
-}
-
-/// Reusable per-barrier buffers of the sharded sweep: one tick slate
-/// and one commit outbox per shard, drained every boundary but never
-/// deallocated — the boundary path stays allocation-free in steady
-/// state.
-struct ShardScratch {
-    /// Per-shard `(bucket position, node id, timer generation)` tick
-    /// slates, filled while bucketing a drained boundary batch.
-    slates: Vec<Vec<(u32, u32, u64)>>,
-    /// Per-shard `(bucket position, (node, plan))` outboxes — the
-    /// boundary-exchange staging the barrier fold consumes.
-    outboxes: Vec<Vec<(u32, (NodeId, TickPlan))>>,
-}
-
-impl ShardScratch {
-    fn new(shards: usize) -> Self {
-        ShardScratch {
-            slates: (0..shards).map(|_| Vec::new()).collect(),
-            outboxes: (0..shards).map(|_| Vec::new()).collect(),
         }
     }
 }
@@ -1575,22 +1412,6 @@ pub struct Sim<M = Box<dyn MacProtocol>, U = Box<dyn UpperLayer>> {
     /// Reusable buffer for the enabled clean receivers of a
     /// transmission (the per-`TxEnd` delivered set).
     delivered_scratch: Vec<NodeId>,
-    /// Contiguous spatial shard plan (one shard ⇒ sequential engine).
-    plan: qma_des::ShardPlan,
-    /// Border classification of the partitioned medium (sharded runs
-    /// only).
-    partition: Option<qma_phy::MediumPartition>,
-    /// Every MAC supports the decide/commit tick split.
-    split_ticks: bool,
-    /// Boundary buckets below this size run sequentially.
-    shard_batch_min: usize,
-    /// Reusable drained-boundary-bucket buffer.
-    batch_scratch: Vec<(SimTime, Event)>,
-    /// Reusable per-shard slates/outboxes.
-    shard_scratch: ShardScratch,
-    /// Persistent decide workers (`None` ⇒ per-boundary scoped
-    /// fork/join, or an unsharded plan).
-    shard_pool: Option<qma_des::ShardPool>,
     /// The armed fault schedule, if any (see [`crate::faults`]).
     fault_plan: Option<crate::faults::FaultPlan>,
     /// Abort threshold for past-time clamps (`u64::MAX` = unlimited).
@@ -1643,58 +1464,6 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
     /// closed on the error path — the replication is garbage by
     /// definition.
     pub fn try_run_until(&mut self, horizon: SimTime) -> Result<(), PastClampBudgetExceeded> {
-        /// One shard's slice of a boundary bucket: everything phase 1
-        /// of the sharded sweep needs to decide its ticks without
-        /// touching shared mutable state. Built per boundary from
-        /// disjoint `split_at_mut` slices; executed on the persistent
-        /// pool or a scoped thread — bit-identical either way, since
-        /// the job only writes its own slices and outbox and the
-        /// commit fold replays in global bucket order.
-        struct DecideJob<'a, M> {
-            now: SimTime,
-            base: usize,
-            sub: usize,
-            slate: &'a [(u32, u32, u64)],
-            macs: &'a mut [M],
-            rngs: &'a mut [StdRng],
-            outbox: &'a mut Vec<(u32, (NodeId, TickPlan))>,
-            queues: &'a [TxQueue],
-            gens: &'a [[u64; MacTimerKind::COUNT]],
-            enabled: &'a ActiveSet,
-            levels: &'a NeighborLevels,
-            medium: &'a Medium,
-            clock: &'a FrameClock,
-            phy: &'a PhyTiming,
-        }
-
-        impl<M: MacProtocol> DecideJob<'_, M> {
-            fn run(&mut self) {
-                for &(pos, node, gen) in self.slate {
-                    let i = node as usize;
-                    // The same validity gate the sequential dispatcher
-                    // applies; no commit in this bucket can change
-                    // another node's verdict.
-                    if !self.enabled.get(i) || self.gens[i][self.sub] != gen {
-                        continue;
-                    }
-                    let mut view = TickView {
-                        now: self.now,
-                        node: NodeId(node),
-                        clock: self.clock,
-                        phy: self.phy,
-                        queue: &self.queues[i],
-                        levels: self.levels,
-                        rng: &mut self.rngs[i - self.base],
-                        transmitting: self.medium.is_transmitting(qma_phy::PhyNodeId(node)),
-                    };
-                    let decided = self.macs[i - self.base]
-                        .subslot_decide(&mut view)
-                        .expect("split-tick MAC must return a plan");
-                    self.outbox.push((pos, (NodeId(node), decided)));
-                }
-            }
-        }
-
         struct Driver<'s, M, U> {
             world: &'s mut World,
             macs: &'s mut [M],
@@ -1841,137 +1610,6 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                         }
                         self.world.metrics.count("fault_skew_events", 1.0);
                     }
-                }
-            }
-
-            /// One drained boundary bucket through the sharded sweep:
-            /// bucket the ticks by owning shard, decide in parallel
-            /// (node-local state only), then commit through the
-            /// barrier fold in exact bucket order. Results are
-            /// bit-identical to sequential delivery by construction —
-            /// decisions of distinct nodes read no state any
-            /// same-instant commit writes, and the commits replay in
-            /// the sequential order.
-            fn handle_subslot_batch(
-                &mut self,
-                batch: &mut Vec<(SimTime, Event)>,
-                sched: &mut Scheduler<Event>,
-                plan: &qma_des::ShardPlan,
-                scratch: &mut ShardScratch,
-                pool: Option<&mut qma_des::ShardPool>,
-            ) {
-                for slate in scratch.slates.iter_mut() {
-                    slate.clear();
-                }
-                // Only subslot ticks travel through the wheel today;
-                // anything else falls the whole batch back to
-                // sequential delivery (exact order either way).
-                let mut plain = true;
-                for (pos, (_, ev)) in batch.iter().enumerate() {
-                    match ev {
-                        Event::MacTimer {
-                            node,
-                            kind: MacTimerKind::Subslot,
-                            gen,
-                        } => {
-                            scratch.slates[plan.shard_of(node.index())]
-                                .push((pos as u32, node.0, *gen));
-                        }
-                        _ => {
-                            plain = false;
-                            break;
-                        }
-                    }
-                }
-                if !plain {
-                    for (t, ev) in batch.drain(..) {
-                        self.handle(t, ev, sched);
-                    }
-                    return;
-                }
-
-                let now = batch[0].0;
-                {
-                    // Phase 1 — parallel decide. Each shard owns a
-                    // disjoint `&mut` slice of the MACs and RNGs
-                    // (contiguous plan ⇒ `split_at_mut`); queues,
-                    // neighbour levels, medium, clock and PHY are
-                    // shared read-only, and no commit runs until every
-                    // worker has joined — the wheel-cursor barrier.
-                    // The jobs run either on the persistent shard pool
-                    // (default) or on per-boundary scoped threads;
-                    // identical results by construction, since a job
-                    // only writes its own slices and outbox.
-                    let world = &mut *self.world;
-                    let nodes = &mut world.nodes;
-                    let queues: &[TxQueue] = &nodes.queue;
-                    let gens: &[[u64; MacTimerKind::COUNT]] = &nodes.mac_timer_gen;
-                    let enabled = &nodes.enabled;
-                    let levels = &world.neighbor_levels;
-                    let medium = &world.medium;
-                    let clock = &world.clock;
-                    let phy = &world.phy;
-                    let sub = MacTimerKind::Subslot.index();
-                    let mut mac_rest: &mut [M] = &mut *self.macs;
-                    let mut rng_rest: &mut [StdRng] = &mut nodes.mac_rng;
-                    let mut jobs: Vec<DecideJob<'_, M>> = Vec::with_capacity(plan.shards());
-                    for (s, outbox) in scratch.outboxes.iter_mut().enumerate() {
-                        let range = plan.range(s);
-                        let (macs_s, mac_tail) = mac_rest.split_at_mut(range.len());
-                        mac_rest = mac_tail;
-                        let (rngs_s, rng_tail) = rng_rest.split_at_mut(range.len());
-                        rng_rest = rng_tail;
-                        let slate: &[(u32, u32, u64)] = &scratch.slates[s];
-                        if slate.is_empty() {
-                            continue;
-                        }
-                        jobs.push(DecideJob {
-                            now,
-                            base: range.start,
-                            sub,
-                            slate,
-                            macs: macs_s,
-                            rngs: rngs_s,
-                            outbox,
-                            queues,
-                            gens,
-                            enabled,
-                            levels,
-                            medium,
-                            clock,
-                            phy,
-                        });
-                    }
-                    match pool {
-                        Some(pool) => {
-                            let mut closures: Vec<_> =
-                                jobs.iter_mut().map(|job| move || job.run()).collect();
-                            let mut refs: Vec<&mut (dyn FnMut() + Send)> = closures
-                                .iter_mut()
-                                .map(|c| c as &mut (dyn FnMut() + Send))
-                                .collect();
-                            pool.scope_run(&mut refs);
-                        }
-                        None => {
-                            std::thread::scope(|scope| {
-                                for job in jobs.iter_mut() {
-                                    scope.spawn(move || job.run());
-                                }
-                            });
-                        }
-                    }
-                }
-
-                // Phase 2 — the boundary exchange: fold the per-shard
-                // outboxes back in ascending bucket position, which is
-                // exactly the sequential processing order (and is
-                // independent of the shard count).
-                qma_des::merge_by_pos(&mut scratch.outboxes, |_pos, (node, decided)| {
-                    self.world.commit_tick_plan(node, decided, sched);
-                });
-                batch.clear();
-                if !self.world.notices.is_empty() {
-                    self.drain_notices(sched);
                 }
             }
 
@@ -2197,42 +1835,16 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
             delivered: &mut self.delivered_scratch,
         };
         let sched = &mut self.sched;
-        let batch = &mut self.batch_scratch;
-        let scratch = &mut self.shard_scratch;
-        let sharded = self.plan.shards() > 1 && self.split_ticks;
         let clamp_budget = self.past_clamp_budget;
         loop {
-            // One load + compare per drained batch/event; with the
-            // default unlimited budget the branch never takes.
+            // One load + compare per event; with the default unlimited
+            // budget the branch never takes.
             if sched.past_clamps() > clamp_budget {
                 return Err(PastClampBudgetExceeded {
                     past_clamps: sched.past_clamps(),
                     budget: clamp_budget,
                     at: sched.now(),
                 });
-            }
-            // Under a multi-shard plan, whole boundary buckets drain
-            // in one scheduler call (when no heap event interleaves)
-            // and large buckets fan their decisions out across cores;
-            // single-shard runs keep the one-merged-head-inspection
-            // loop of the sequential engine untouched. Identical
-            // results either way — batching changes where events
-            // wait, never what the simulation computes.
-            if sharded && sched.drain_boundary_bucket(horizon, batch) > 0 {
-                if batch.len() >= self.shard_batch_min {
-                    driver.handle_subslot_batch(
-                        batch,
-                        sched,
-                        &self.plan,
-                        scratch,
-                        self.shard_pool.as_mut(),
-                    );
-                } else {
-                    for (t, ev) in batch.drain(..) {
-                        driver.handle(t, ev, sched);
-                    }
-                }
-                continue;
             }
             match sched.pop_at_or_before(horizon) {
                 Some(entry) => driver.handle(entry.time, entry.event, sched),
@@ -2297,24 +1909,6 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
     /// The world (tests, assertions).
     pub fn world(&self) -> &World {
         &self.world
-    }
-
-    /// The shard plan this simulation executes under (one shard for
-    /// the sequential engine).
-    pub fn shard_plan(&self) -> &qma_des::ShardPlan {
-        &self.plan
-    }
-
-    /// Border classification of the spatially partitioned medium —
-    /// `None` for single-shard runs.
-    pub fn shard_partition(&self) -> Option<&qma_phy::MediumPartition> {
-        self.partition.as_ref()
-    }
-
-    /// Whether the parallel boundary sweep is armed (multi-shard plan
-    /// over an all-split-tick MAC population on the wheel scheduler).
-    pub fn sharded_sweep_armed(&self) -> bool {
-        self.plan.shards() > 1 && self.split_ticks
     }
 
     /// Energy report for a node up to the current time.

@@ -29,7 +29,6 @@
 pub mod energy;
 pub mod geo;
 pub mod medium;
-pub mod partition;
 pub mod pathloss;
 pub mod timing;
 pub mod units;
@@ -37,7 +36,6 @@ pub mod units;
 pub use energy::{EnergyMeter, EnergyReport, PowerProfile, RadioActivity};
 pub use geo::Position;
 pub use medium::{Connectivity, Medium, PhyNodeId, TxToken};
-pub use partition::{MediumPartition, PartitionStats};
 pub use pathloss::PathLoss;
 pub use timing::{FrameTiming, PhyTiming};
 pub use units::{Dbm, MilliWatts};

@@ -17,9 +17,9 @@
 //! Every quantity here — cohorts, instants, measurement windows — is
 //! derived from the replication seed and stepped on fixed one-second
 //! boundaries, so a chaos replication is exactly as deterministic as
-//! an undisturbed one: bit-identical across `--shards K` and both
-//! scheduler engines (fault events travel through the scheduler's
-//! heap, which serialises the sharded sweep around them).
+//! an undisturbed one: bit-identical under both scheduler engines
+//! (fault events travel through the scheduler's heap, whichever
+//! engine schedules the subslot ticks).
 
 use qma_des::{SeedSequence, SimDuration, SimTime};
 use qma_net::TrafficPattern;
@@ -162,7 +162,7 @@ pub fn run_grid(p: &ScenarioParams, seed: u64) -> RunMetrics {
     // Post-fault: step on one-second boundaries, watching the
     // windowed PDR climb back. The stepping sequence is a pure
     // function of the parameters, so artifacts stay byte-identical
-    // across shard counts and scheduler engines.
+    // across scheduler engines.
     let mut recovery_s = None;
     let mut tail_snap = (gen1, del1);
     let mut prev = (gen1, del1);

@@ -8,8 +8,8 @@
 //!   the plain binary heap (the PR 4 slot kernel) — the wheel changes
 //!   *where events wait*, never *what the simulation computes*, and
 //! * fault plans (crash/jam/drift chaos runs) are active — fault
-//!   events are heap events, so they compose with the sharded
-//!   boundary sweep and both scheduler engines bit-identically.
+//!   events are heap events, so they compose with both scheduler
+//!   engines bit-identically.
 //!
 //! (The byte-identical-campaign-CSV half of the wheel/heap guarantee
 //! lives in `crates/bench/tests/scheduler_equivalence.rs`, next to
@@ -21,14 +21,12 @@ use qma_net::{CollectionApp, CollectionConfig, TrafficPattern};
 use qma_netsim::{FrameClock, MacCounters, MacProtocol, NodeId, Sim, SimBuilder, UpperLayer};
 use qma_scenarios::common::collection_upper;
 
-/// Serialises the tests that flip process-wide execution defaults
-/// (`set_default_scheduler_wheel`, `set_default_shards`,
-/// `set_default_shard_batch_min`). The test harness runs this
+/// Serialises the tests that flip the process-wide scheduler default
+/// (`set_default_scheduler_wheel`). The test harness runs this
 /// binary's tests on parallel threads; without the lock, one test's
 /// default could leak into another's sim builds — at best noise, at
-/// worst making an equivalence test vacuous (e.g. the sharded-sweep
-/// test silently comparing sequential against sequential while the
-/// wheel default is off).
+/// worst making an equivalence test vacuous (a wheel-vs-heap test
+/// silently comparing heap against heap).
 static EXEC_DEFAULTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn lock_exec_defaults() -> std::sync::MutexGuard<'static, ()> {
@@ -240,114 +238,14 @@ fn boundary_exact_enqueue_never_double_arms_the_tick() {
 }
 
 #[test]
-fn sharded_sweep_is_bit_identical_to_sequential() {
-    use qma_scenarios::{run_scenario, MassiveTopology, ScenarioKind, ScenarioParams};
-
-    let _guard = lock_exec_defaults();
-    // Saturating parameters so boundary buckets exceed the forced
-    // batch minimum and the parallel decide path genuinely runs.
-    let star = ScenarioParams {
-        topology: MassiveTopology::HiddenStar,
-        nodes: 161,
-        delta: 0.8,
-        packets: 4,
-        duration_s: 12,
-        ..ScenarioParams::default()
-    };
-    let grid = ScenarioParams {
-        topology: MassiveTopology::Grid,
-        nodes: 144,
-        delta: 1.0,
-        packets: 4,
-        duration_s: 12,
-        ..ScenarioParams::default()
-    };
-    for p in [star, grid] {
-        p.validate_for(ScenarioKind::Massive).unwrap();
-        let run_with_shards = |k: usize| {
-            qma_netsim::set_default_shards(k);
-            qma_netsim::set_default_shard_batch_min(1);
-            let out: Vec<_> = (0..2u64)
-                .map(|rep| run_scenario(ScenarioKind::Massive, &p, 500 + rep))
-                .collect();
-            qma_netsim::set_default_shards(1);
-            qma_netsim::set_default_shard_batch_min(qma_netsim::SHARD_BATCH_MIN_DEFAULT);
-            out
-        };
-        let sequential = run_with_shards(1);
-        let sharded_2 = run_with_shards(2);
-        let sharded_4 = run_with_shards(4);
-        assert_eq!(sequential, sharded_2, "K=2 diverged from K=1");
-        assert_eq!(sequential, sharded_4, "K=4 diverged from K=1");
-        assert!(sequential.iter().all(|m| m.events > 1_000));
-    }
-
-    // The sweep must actually have been armed under the sharded
-    // default — build one sim directly and check.
-    let topo = qma_topo::hidden_star(160);
-    let mut sim = SimBuilder::new(topo.connectivity.clone(), 1)
-        .clock(FrameClock::dsme_so3())
-        .shards(4)
-        .shard_batch_min(1)
-        .mac_factory(|_, clock| MacImpl::qma(QmaMacConfig::default(), *clock))
-        .build();
-    assert!(sim.sharded_sweep_armed(), "sharded sweep must be armed");
-    assert_eq!(sim.shard_plan().shards(), 4);
-    let stats = sim.shard_partition().expect("partition exists").stats();
-    assert_eq!(stats.shards, 4);
-    assert!(stats.cross_edges > 0, "hidden star is all-border");
-    sim.run_until(qma_des::SimTime::from_secs(1));
-}
-
-#[test]
-fn persistent_shard_pool_is_bit_identical_to_scoped_threads() {
-    use qma_scenarios::{run_scenario, MassiveTopology, ScenarioKind, ScenarioParams};
-
-    let _guard = lock_exec_defaults();
-    // PR 7 satellite: the persistent condvar-parked shard pool
-    // replaces the per-boundary `std::thread::scope` fork/join. The
-    // pool changes *who runs* each decide job, never what it computes
-    // or the order commits fold in — so a sharded run must be
-    // bit-identical with the pool on (default) and off (the scoped
-    // fallback kept exactly for this proof and for A/B benchmarks).
-    let p = ScenarioParams {
-        topology: MassiveTopology::Grid,
-        nodes: 144,
-        delta: 1.0,
-        packets: 4,
-        duration_s: 12,
-        ..ScenarioParams::default()
-    };
-    p.validate_for(ScenarioKind::Massive).unwrap();
-    let run_with_pool = |pooled: bool| {
-        qma_netsim::set_default_shard_pool(pooled);
-        qma_netsim::set_default_shards(4);
-        qma_netsim::set_default_shard_batch_min(1);
-        let out: Vec<_> = (0..2u64)
-            .map(|rep| run_scenario(ScenarioKind::Massive, &p, 900 + rep))
-            .collect();
-        qma_netsim::set_default_shards(1);
-        qma_netsim::set_default_shard_batch_min(qma_netsim::SHARD_BATCH_MIN_DEFAULT);
-        qma_netsim::set_default_shard_pool(true);
-        out
-    };
-    let pooled = run_with_pool(true);
-    let scoped = run_with_pool(false);
-    assert_eq!(pooled, scoped, "shard pool diverged from scoped threads");
-    assert!(pooled.iter().all(|m| m.events > 1_000));
-    assert_ne!(pooled[0], pooled[1], "seeds collapsed — vacuous comparison");
-}
-
-#[test]
-fn chaos_faults_are_shard_and_scheduler_invariant() {
+fn chaos_faults_are_scheduler_invariant() {
     use qma_scenarios::{run_scenario, ChaosKnobs, MassiveTopology, ScenarioKind, ScenarioParams};
 
     let _guard = lock_exec_defaults();
     // Crash + jam + drift striking at t = 4 s. Fault events live on
-    // the binary heap, so they serialise the sharded boundary sweep
-    // exactly like any other heap event: every per-counter metric —
-    // including the resilience block — must be bit-identical at any
-    // shard count and under either scheduler engine.
+    // the binary heap whichever engine schedules the subslot ticks:
+    // every per-counter metric — including the resilience block —
+    // must be bit-identical under the wheel and under the heap.
     let p = ScenarioParams {
         topology: MassiveTopology::HiddenStar,
         nodes: 121,
@@ -365,30 +263,21 @@ fn chaos_faults_are_shard_and_scheduler_invariant() {
         ..ScenarioParams::default()
     };
     p.validate_for(ScenarioKind::Chaos).unwrap();
-    let run_with = |k: usize, wheel: bool| {
+    let run_with = |wheel: bool| {
         qma_netsim::set_default_scheduler_wheel(wheel);
-        qma_netsim::set_default_shards(k);
-        qma_netsim::set_default_shard_batch_min(1);
         let out: Vec<_> = (0..2u64)
             .map(|rep| run_scenario(ScenarioKind::Chaos, &p, 700 + rep))
             .collect();
-        qma_netsim::set_default_shards(1);
-        qma_netsim::set_default_shard_batch_min(qma_netsim::SHARD_BATCH_MIN_DEFAULT);
         qma_netsim::set_default_scheduler_wheel(true);
         out
     };
-    let baseline = run_with(1, true);
-    for (k, wheel) in [(2, true), (4, true), (1, false), (4, false)] {
-        assert_eq!(
-            baseline,
-            run_with(k, wheel),
-            "chaos run diverged at K={k}, wheel={wheel}"
-        );
-    }
-    assert!(baseline.iter().all(|m| m.events > 1_000));
+    let wheel = run_with(true);
+    assert_eq!(wheel, run_with(false), "chaos run diverged wheel vs heap");
+    assert!(wheel.iter().all(|m| m.events > 1_000));
     // Different seeds must still produce different runs — identical
-    // outputs across K would be vacuous if the workload collapsed.
-    assert_ne!(baseline[0], baseline[1]);
+    // outputs across engines would be vacuous if the workload
+    // collapsed.
+    assert_ne!(wheel[0], wheel[1]);
 }
 
 #[test]
