@@ -667,17 +667,41 @@ skew_us = [0, -100000]
 
     #[test]
     fn rep_timeout_watchdog_converts_a_slow_rep_into_a_failed_rep() {
-        // A 1 ms budget no real replication can meet: every config
-        // must fail through the watchdog, each failure carrying its
-        // reproduction seed; the campaign still completes (no rows,
-        // resumable). A generous budget must change nothing.
+        // A 1 ms budget against replications that are slow by
+        // construction: every config must fail through the watchdog,
+        // each failure carrying its reproduction seed; the campaign
+        // still completes (no rows, resumable). A generous budget must
+        // change nothing.
+        //
+        // Each config is 32 hidden QMA sources ticking through 100 s
+        // of warm-up and 300 packets each: about 1M events, ~80 ms in
+        // a release build and under a second in a debug build, where
+        // the two detached over-budget threads run to completion.
+        // (`tiny_spec` replications finish inside 1 ms in release.)
         let dir = tmp_dir("watchdog");
-        let spec = tiny_spec("t");
+        let slow = CampaignSpec::parse(
+            r#"
+[campaign]
+name = "t"
+scenario = "hidden_node"
+seed = 11
+replications = 2
+
+[fixed]
+mac = "qma"
+nodes = 33
+packets = 300
+
+[grid]
+delta = [25.0, 50.0]
+"#,
+        )
+        .unwrap();
         let strict = CampaignOptions {
             mode: Parallelism::Serial,
             rep_timeout: Some(std::time::Duration::from_millis(1)),
         };
-        let out = run_campaign_opts(&spec, &dir, &strict, |_| {}).unwrap();
+        let out = run_campaign_opts(&slow, &dir, &strict, |_| {}).unwrap();
         assert_eq!(out.executed, 0);
         assert_eq!(out.failures.len(), 2, "every config must trip the watchdog");
         for fail in &out.failures {
@@ -686,7 +710,7 @@ skew_us = [0, -100000]
                 "unhelpful watchdog message: {}",
                 fail.message
             );
-            let point = spec
+            let point = slow
                 .expand()
                 .unwrap()
                 .into_iter()
@@ -694,11 +718,13 @@ skew_us = [0, -100000]
                 .unwrap();
             assert_eq!(
                 fail.seed,
-                point.seed_stream(spec.master_seed).derive(fail.rep).seed(),
+                point.seed_stream(slow.master_seed).derive(fail.rep).seed(),
                 "watchdog failure must carry the replication's stream seed"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
 
+        let spec = tiny_spec("t");
         let generous = CampaignOptions {
             mode: Parallelism::Serial,
             rep_timeout: Some(std::time::Duration::from_secs(600)),

@@ -16,7 +16,14 @@
 //! used efficiently by resource-restricted devices without any
 //! computational overhead".
 
+use std::sync::Arc;
+
 /// The ρ lookup table of Fig. 4.
+///
+/// The values sit behind an [`Arc`], so cloning a table (and with it
+/// a `QmaConfig`) shares one allocation: every agent built from one
+/// configuration reads the same cache-resident ρ table instead of a
+/// private copy per node.
 ///
 /// # Examples
 ///
@@ -34,7 +41,7 @@
 pub struct ExplorationTable {
     /// `rho[d]` is the exploration probability for a queue difference
     /// of `d` (index 0 → difference 0). Negative differences map to 0.
-    table: Vec<f64>,
+    table: Arc<[f64]>,
 }
 
 impl ExplorationTable {
@@ -42,7 +49,7 @@ impl ExplorationTable {
     /// ρ(0..=8) = 0, 0.0001, 0.001, 0.008, 0.02, 0.05, 0.1, 0.18, 0.3.
     pub fn paper() -> Self {
         ExplorationTable {
-            table: vec![0.0, 0.0001, 0.001, 0.008, 0.02, 0.05, 0.1, 0.18, 0.3],
+            table: Arc::new([0.0, 0.0001, 0.001, 0.008, 0.02, 0.05, 0.1, 0.18, 0.3]),
         }
     }
 
@@ -58,7 +65,9 @@ impl ExplorationTable {
             table.iter().all(|&p| (0.0..=1.0).contains(&p)),
             "exploration probabilities must lie in [0, 1]"
         );
-        ExplorationTable { table }
+        ExplorationTable {
+            table: table.into(),
+        }
     }
 
     /// A constant exploration rate (the baseline QMA compares
@@ -69,12 +78,16 @@ impl ExplorationTable {
     /// Panics if `rate` is outside `[0, 1]`.
     pub fn constant(rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate));
-        ExplorationTable { table: vec![rate] }
+        ExplorationTable {
+            table: Arc::new([rate]),
+        }
     }
 
     /// Never explore (greedy policy only).
     pub fn disabled() -> Self {
-        ExplorationTable { table: vec![0.0] }
+        ExplorationTable {
+            table: Arc::new([0.0]),
+        }
     }
 
     /// The exploration probability for a queue-level difference
@@ -160,6 +173,14 @@ mod tests {
         for d in -8..=8 {
             assert_eq!(t.rho(d), 0.0);
         }
+    }
+
+    #[test]
+    fn clones_share_one_table() {
+        let t = ExplorationTable::paper();
+        let copy = t.clone();
+        assert!(Arc::ptr_eq(&t.table, &copy.table));
+        assert_eq!(t, copy);
     }
 
     #[test]

@@ -40,6 +40,11 @@ impl Default for UpdateParams {
 
 /// A dense per-subslot Q-table with its policy.
 ///
+/// Each subslot is one row holding its three Q-values next to its
+/// policy action (16 B for `f32`, 8 B for [`crate::Fixed16`]), and
+/// all rows live in a single allocation. An update and the decision
+/// that follows it therefore read one cache line of one block.
+///
 /// # Examples
 ///
 /// ```
@@ -56,9 +61,38 @@ impl Default for UpdateParams {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct QTable<Q: QValue> {
-    subslots: u16,
-    values: Vec<Q>, // subslots × 3, row-major
-    policy: Vec<QmaAction>,
+    rows: Box<[Row<Q>]>, // one per subslot
+}
+
+/// One subslot of a [`QTable`]: `Q(m, a)` for every action, indexed
+/// by [`QmaAction::index`], and the policy action π(m).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Row<Q> {
+    q: [Q; QmaAction::COUNT],
+    policy: QmaAction,
+}
+
+impl<Q: QValue> Row<Q> {
+    /// `maxₐ Q(m, a)`, folded in table order.
+    fn max(&self) -> Q {
+        let [backoff, cca, send] = self.q;
+        backoff.take_max(cca).take_max(send)
+    }
+
+    /// Eq. 3: switch to the argmax action only if its Q-value is
+    /// strictly greater than the current policy's Q-value.
+    fn refresh_policy(&mut self) {
+        let mut best = self.policy;
+        let mut best_q = self.q[best.index()];
+        for a in QmaAction::ALL {
+            let q = self.q[a.index()];
+            if q > best_q {
+                best = a;
+                best_q = q;
+            }
+        }
+        self.policy = best;
+    }
 }
 
 impl<Q: QValue> QTable<Q> {
@@ -71,16 +105,18 @@ impl<Q: QValue> QTable<Q> {
     /// Panics if `subslots` is zero.
     pub fn new(subslots: u16, init: f32) -> Self {
         assert!(subslots > 0, "need at least one subslot");
+        let row = Row {
+            q: [Q::from_f32(init); QmaAction::COUNT],
+            policy: QmaAction::Backoff,
+        };
         QTable {
-            subslots,
-            values: vec![Q::from_f32(init); subslots as usize * QmaAction::COUNT],
-            policy: vec![QmaAction::Backoff; subslots as usize],
+            rows: vec![row; subslots as usize].into_boxed_slice(),
         }
     }
 
     /// Number of subslots (states).
     pub fn subslots(&self) -> u16 {
-        self.subslots
+        self.rows.len() as u16
     }
 
     /// The Q-value of `(subslot, action)`.
@@ -89,7 +125,7 @@ impl<Q: QValue> QTable<Q> {
     ///
     /// Panics if `subslot` is out of range.
     pub fn q(&self, subslot: u16, action: QmaAction) -> Q {
-        self.values[self.cell(subslot, action)]
+        self.row(subslot).q[action.index()]
     }
 
     /// The greedy policy action for a subslot.
@@ -98,21 +134,12 @@ impl<Q: QValue> QTable<Q> {
     ///
     /// Panics if `subslot` is out of range.
     pub fn policy(&self, subslot: u16) -> QmaAction {
-        self.policy[subslot as usize]
+        self.row(subslot).policy
     }
 
     /// `maxₐ Q(subslot, a)` — the bootstrap value of a state.
     pub fn qmax(&self, subslot: u16) -> Q {
-        QmaAction::ALL
-            .iter()
-            .map(|&a| self.q(subslot, a))
-            .fold(None::<Q>, |acc, v| {
-                Some(match acc {
-                    None => v,
-                    Some(m) => m.take_max(v),
-                })
-            })
-            .expect("at least one action")
+        self.row(subslot).max()
     }
 
     /// Applies the paper's Eq. 5 update for the action taken in
@@ -129,61 +156,49 @@ impl<Q: QValue> QTable<Q> {
         next_subslot: u16,
         params: &UpdateParams,
     ) -> Q {
-        let q_old = self.q(subslot, action);
-        let qmax_next = self.qmax(next_subslot % self.subslots);
+        let qmax_next = self.qmax(next_subslot % self.subslots());
+        let row = self.row_mut(subslot);
+        let q_old = row.q[action.index()];
         let target = q_old.bellman_target(reward, qmax_next, params.alpha, params.gamma);
         let new_q = q_old.penalized(params.xi).take_max(target);
-        let cell = self.cell(subslot, action);
-        self.values[cell] = new_q;
-        self.refresh_policy(subslot);
+        row.q[action.index()] = new_q;
+        row.refresh_policy();
         new_q
     }
 
     /// Writes a raw Q-value (used by cautious startup's punishments
     /// and by tests), refreshing the policy.
     pub fn set_q(&mut self, subslot: u16, action: QmaAction, value: Q) {
-        let cell = self.cell(subslot, action);
-        self.values[cell] = value;
-        self.refresh_policy(subslot);
+        let row = self.row_mut(subslot);
+        row.q[action.index()] = value;
+        row.refresh_policy();
     }
 
     /// Σₘ Q(m, π(m)) — the "cumulative Q-value per frame" metric of
     /// Fig. 10/12: the sum of Q-values of all subslots following the
     /// current policy.
     pub fn policy_value_sum(&self) -> f64 {
-        (0..self.subslots)
-            .map(|m| self.q(m, self.policy(m)).to_f32() as f64)
-            .sum()
+        self.policy_iter().map(|(_, _, q)| q as f64).sum()
     }
 
     /// Iterates over `(subslot, policy action, Q-value)` triples.
     pub fn policy_iter(&self) -> impl Iterator<Item = (u16, QmaAction, f32)> + '_ {
-        (0..self.subslots).map(move |m| {
-            let a = self.policy(m);
-            (m, a, self.q(m, a).to_f32())
-        })
+        self.rows
+            .iter()
+            .enumerate()
+            .map(|(m, row)| (m as u16, row.policy, row.q[row.policy.index()].to_f32()))
     }
 
-    fn cell(&self, subslot: u16, action: QmaAction) -> usize {
-        assert!(subslot < self.subslots, "subslot {subslot} out of range");
-        subslot as usize * QmaAction::COUNT + action.index()
+    fn row(&self, subslot: u16) -> &Row<Q> {
+        self.rows
+            .get(subslot as usize)
+            .unwrap_or_else(|| panic!("subslot {subslot} out of range"))
     }
 
-    /// Eq. 3: switch to the argmax action only if its Q-value is
-    /// strictly greater than the current policy's Q-value.
-    fn refresh_policy(&mut self, subslot: u16) {
-        let current = self.policy(subslot);
-        let current_q = self.q(subslot, current);
-        let mut best = current;
-        let mut best_q = current_q;
-        for &a in &QmaAction::ALL {
-            let q = self.q(subslot, a);
-            if q > best_q {
-                best = a;
-                best_q = q;
-            }
-        }
-        self.policy[subslot as usize] = best;
+    fn row_mut(&mut self, subslot: u16) -> &mut Row<Q> {
+        self.rows
+            .get_mut(subslot as usize)
+            .unwrap_or_else(|| panic!("subslot {subslot} out of range"))
     }
 }
 

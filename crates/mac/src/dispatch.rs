@@ -19,11 +19,6 @@ use crate::csma::{CsmaConfig, CsmaMac};
 use crate::qma_mac::{QmaMac, QmaMacConfig};
 
 /// A MAC instance with enum-based static dispatch.
-// The size spread (QmaMac embeds its ~0.5 KiB Q-table) is deliberate:
-// the table is hot-path data and boxing it back out would reintroduce
-// a pointer chase per Q-update; there is one MacImpl per node, so the
-// padding on Csma/Custom nodes is noise.
-#[allow(clippy::large_enum_variant)]
 pub enum MacImpl {
     /// The paper's Q-learning MAC.
     Qma(QmaMac),

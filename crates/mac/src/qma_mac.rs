@@ -69,7 +69,9 @@ enum Phase {
 
 /// The QMA MAC protocol.
 pub struct QmaMac {
-    cfg: QmaMacConfig,
+    /// N_R from [`QmaMacConfig::max_retries`]; the agent keeps the
+    /// rest of the configuration.
+    max_retries: u8,
     clock: FrameClock,
     agent: QmaAgent<f32>,
     recv: ReceiverCommon,
@@ -95,11 +97,10 @@ impl QmaMac {
     /// Creates a QMA MAC over the shared frame clock.
     pub fn new(mut cfg: QmaMacConfig, clock: FrameClock) -> Self {
         cfg.agent.subslots = clock.subslots();
-        let agent = QmaAgent::new(cfg.agent.clone());
         QmaMac {
-            cfg,
+            max_retries: cfg.max_retries,
             clock,
-            agent,
+            agent: QmaAgent::new(cfg.agent),
             recv: ReceiverCommon::new(),
             phase: Phase::Quiet,
             overheard: false,
@@ -330,7 +331,7 @@ impl MacProtocol for QmaMac {
                         head.retries += 1;
                         head.retries
                     };
-                    if retries > self.cfg.max_retries {
+                    if retries > self.max_retries {
                         let dropped = ctx.pop_queue().expect("head exists");
                         ctx.notify_tx_result(dropped.frame, TxResult::RetryLimit);
                     }
@@ -449,9 +450,9 @@ impl MacProtocol for QmaMac {
         if !persist_learning {
             // Volatile Q-table: the node re-learns from scratch —
             // the re-learning cost is what chaos scenarios measure.
-            // (`cfg.agent.subslots` was fixed up at construction, so
+            // (The agent's `subslots` was fixed up at construction, so
             // the rebuilt agent sees the same state space.)
-            self.agent = QmaAgent::new(self.cfg.agent.clone());
+            self.agent = QmaAgent::new(self.agent.config().clone());
         }
     }
 
@@ -658,6 +659,38 @@ mod tests {
         let last = *series.values().last().unwrap();
         assert!(first <= -400.0, "first sample {first}");
         assert!(last > first, "no learning progress: {first} → {last}");
+        // Learner recording also keeps the Fig. 13–15 slot-action map.
+        let counts = sim.metrics().slot_action_counts(NodeId(0));
+        assert_eq!(counts.len(), 54);
+        assert!(
+            counts.iter().flatten().any(|&c| c > 0),
+            "no slot action counted"
+        );
+    }
+
+    #[test]
+    fn slot_action_maps_need_learner_recording() {
+        let mut sim = SimBuilder::new(Connectivity::full(2), 3)
+            .clock(FrameClock::dsme_so3())
+            .record_learner(false)
+            .mac_factory(qma_factory())
+            .upper_factory(|_, _| {
+                Box::new(Source {
+                    dst: NodeId(1),
+                    count: 50,
+                    gap_ms: 50,
+                    sent: 0,
+                })
+            })
+            .build();
+        sim.run_for(SimDuration::from_secs(10));
+        let m = sim.metrics();
+        assert!(m.mac(NodeId(0)).tx_attempts > 0, "the sender never acted");
+        for node in [NodeId(0), NodeId(1)] {
+            assert!(m.slot_action_counts(node).is_empty());
+            assert!(m.dominant_slot_actions(node).is_empty());
+            assert!(m.q_sum_series(node).is_empty());
+        }
     }
 
     #[test]

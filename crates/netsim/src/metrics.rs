@@ -83,7 +83,10 @@ pub struct MetricsHub {
     mac: Vec<MacCounters>,
     learner: Vec<TimeSeries>, // q_sum over time
     rho: Vec<TimeSeries>,
-    slot_actions: Vec<Vec<[u64; 3]>>, // node → subslot → action counts
+    /// Node-major action counts, `subslots` cells per node: node `i`
+    /// owns `slot_actions[i * subslots..(i + 1) * subslots]`.
+    slot_actions: Vec<[u64; 3]>,
+    subslots: usize,
     named: BTreeMap<&'static str, f64>,
     named_per_node: BTreeMap<(&'static str, u32), f64>,
     horizon: SimTime,
@@ -92,6 +95,13 @@ pub struct MetricsHub {
 impl MetricsHub {
     /// Creates a hub for `n` nodes with `subslots` contention
     /// subslots per frame.
+    ///
+    /// `subslots` sizes the slot-action maps of Fig. 13–15 (one flat
+    /// node-major array of `n × subslots` cells). With 0 subslots the
+    /// hub keeps no map: [`MetricsHub::slot_action`] is a no-op and
+    /// [`MetricsHub::dominant_slot_actions`] returns an empty list.
+    /// [`crate::SimBuilder::build`] passes 0 unless learner recording
+    /// is on.
     pub fn new(n: usize, subslots: u16) -> Self {
         MetricsHub {
             n,
@@ -102,7 +112,8 @@ impl MetricsHub {
             mac: vec![MacCounters::default(); n],
             learner: vec![TimeSeries::new(); n],
             rho: vec![TimeSeries::new(); n],
-            slot_actions: vec![vec![[0; 3]; subslots as usize]; n],
+            slot_actions: vec![[0; 3]; n * subslots as usize],
+            subslots: subslots as usize,
             named: BTreeMap::new(),
             named_per_node: BTreeMap::new(),
             horizon: SimTime::ZERO,
@@ -238,11 +249,13 @@ impl MetricsHub {
 
     // ---- Slot utilization ----
 
-    /// Counts an executed subslot action (Fig. 13–15).
+    /// Counts an executed subslot action (Fig. 13–15). A subslot
+    /// outside the map (always the case with a 0-subslot hub) is
+    /// ignored.
     pub fn slot_action(&mut self, node: NodeId, subslot: u16, action: SlotAction) {
-        let per_node = &mut self.slot_actions[node.index()];
-        if let Some(cell) = per_node.get_mut(subslot as usize) {
-            cell[action.index()] += 1;
+        let subslot = subslot as usize;
+        if subslot < self.subslots {
+            self.slot_actions[node.index() * self.subslots + subslot][action.index()] += 1;
         }
     }
 
@@ -250,17 +263,13 @@ impl MetricsHub {
     /// utilization "after the first exploration phase", i.e. over a
     /// window).
     pub fn reset_slot_actions(&mut self) {
-        for per_node in &mut self.slot_actions {
-            for cell in per_node.iter_mut() {
-                *cell = [0; 3];
-            }
-        }
+        self.slot_actions.fill([0; 3]);
     }
 
     /// The dominant action a node executed in each subslot over the
     /// current window (`None` for never-used subslots).
     pub fn dominant_slot_actions(&self, node: NodeId) -> Vec<Option<SlotAction>> {
-        self.slot_actions[node.index()]
+        self.slot_action_counts(node)
             .iter()
             .map(|cell| {
                 let total: u64 = cell.iter().sum();
@@ -277,9 +286,10 @@ impl MetricsHub {
             .collect()
     }
 
-    /// Raw slot-action counts for a node.
+    /// Raw slot-action counts for a node, one cell per subslot.
     pub fn slot_action_counts(&self, node: NodeId) -> &[[u64; 3]] {
-        &self.slot_actions[node.index()]
+        let start = node.index() * self.subslots;
+        &self.slot_actions[start..start + self.subslots]
     }
 
     // ---- Named counters (protocol-specific statistics) ----
@@ -404,9 +414,17 @@ mod tests {
 
     #[test]
     fn out_of_range_subslot_is_ignored() {
-        let mut h = MetricsHub::new(1, 2);
+        let mut h = MetricsHub::new(2, 2);
         h.slot_action(NodeId(0), 5, SlotAction::Tx); // silently ignored
-        assert_eq!(h.slot_action_counts(NodeId(0)).len(), 2);
+        h.slot_action(NodeId(0), 2, SlotAction::Tx); // not node 1's cell 0
+        assert_eq!(h.slot_action_counts(NodeId(0)), &[[0; 3]; 2]);
+        assert_eq!(h.slot_action_counts(NodeId(1)), &[[0; 3]; 2]);
+
+        // A hub without subslots keeps no map: recording is a no-op.
+        let mut h = MetricsHub::new(2, 0);
+        h.slot_action(NodeId(1), 0, SlotAction::Tx);
+        assert!(h.slot_action_counts(NodeId(1)).is_empty());
+        assert!(h.dominant_slot_actions(NodeId(1)).is_empty());
     }
 
     #[test]

@@ -1271,7 +1271,14 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
         self
     }
 
-    /// Enables/disables per-frame learner sampling (default on).
+    /// Enables/disables learner recording (default on): the per-frame
+    /// Σ Q / ρ samples of Fig. 10–12 and the per-subslot action maps
+    /// of Fig. 13–15. With it off the metrics hub keeps no slot-action
+    /// map (it is built with 0 subslots), so
+    /// [`MetricsHub::slot_action_counts`] and
+    /// [`MetricsHub::dominant_slot_actions`] report nothing and a
+    /// large world skips an `n × subslots` array written on every
+    /// decision.
     pub fn record_learner(mut self, on: bool) -> Self {
         self.record_learner = on;
         self
@@ -1383,7 +1390,7 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
                 phy: self.phy,
                 nodes,
                 neighbor_levels,
-                metrics: MetricsHub::new(n, subslots),
+                metrics: MetricsHub::new(n, if self.record_learner { subslots } else { 0 }),
                 notices: std::collections::VecDeque::new(),
             },
             macs,

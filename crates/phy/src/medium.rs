@@ -261,8 +261,6 @@ struct RxLock {
 
 #[derive(Debug, Clone, Default)]
 struct ReceiverState {
-    /// Number of audible in-flight transmissions, per channel.
-    energy: Vec<u32>,
     /// The frame this receiver is locked onto, if any.
     lock: Option<RxLock>,
     /// Is this node itself transmitting?
@@ -300,6 +298,9 @@ struct ReceiverState {
 pub struct Medium {
     conn: Connectivity,
     receivers: Vec<ReceiverState>,
+    /// Number of audible in-flight transmissions per node and channel,
+    /// node-major: node `r` on channel `c` is `energy[r * channels + c]`.
+    energy: Vec<u32>,
     active: Vec<ActiveTx>,
     channels: u8,
     next_token: u64,
@@ -334,16 +335,8 @@ impl Medium {
         let n = conn.len();
         Medium {
             conn,
-            receivers: vec![
-                ReceiverState {
-                    energy: vec![0; channels as usize],
-                    lock: None,
-                    transmitting: false,
-                    listen_channel: 0,
-                    jammed: false,
-                };
-                n
-            ],
+            receivers: vec![ReceiverState::default(); n],
+            energy: vec![0; n * channels as usize],
             active: Vec::new(),
             channels,
             next_token: 0,
@@ -429,8 +422,10 @@ impl Medium {
 
         let degraded_any = !self.degraded.is_empty();
         for &r in self.conn.listeners(tx_node) {
+            let energy = &mut self.energy[energy_cell(self.channels, r, channel)];
+            *energy += 1;
+            let energy = *energy;
             let st = &mut self.receivers[r.index()];
-            st.energy[channel as usize] += 1;
             if st.transmitting || st.listen_channel != channel {
                 // A transmitting or differently-tuned node cannot
                 // lock onto this frame.
@@ -444,7 +439,7 @@ impl Medium {
                     lock.clean = false;
                 }
                 None => {
-                    if st.energy[channel as usize] == 1
+                    if energy == 1
                         && !st.jammed
                         && !(degraded_any && self.degraded.contains(&(tx_node.0, r.0)))
                     {
@@ -487,10 +482,10 @@ impl Medium {
 
         self.delivered_scratch.clear();
         for &r in self.conn.listeners(tx.tx_node) {
-            let st = &mut self.receivers[r.index()];
-            let energy = &mut st.energy[tx.channel as usize];
+            let energy = &mut self.energy[energy_cell(self.channels, r, tx.channel)];
             debug_assert!(*energy > 0, "energy underflow at {r}");
             *energy -= 1;
+            let st = &mut self.receivers[r.index()];
             if let Some(lock) = st.lock {
                 if lock.token == token {
                     st.lock = None;
@@ -527,10 +522,10 @@ impl Medium {
 
         self.receivers[tx.tx_node.index()].transmitting = false;
         for &r in self.conn.listeners(tx.tx_node) {
-            let st = &mut self.receivers[r.index()];
-            let energy = &mut st.energy[tx.channel as usize];
+            let energy = &mut self.energy[energy_cell(self.channels, r, tx.channel)];
             debug_assert!(*energy > 0, "energy underflow at {r}");
             *energy -= 1;
+            let st = &mut self.receivers[r.index()];
             if let Some(lock) = st.lock {
                 if lock.token == token {
                     st.lock = None;
@@ -602,7 +597,9 @@ impl Medium {
     /// jammer covers the node, or the node itself is transmitting.
     pub fn is_busy(&self, node: PhyNodeId) -> bool {
         let st = &self.receivers[node.index()];
-        st.jammed || st.energy[st.listen_channel as usize] > 0 || st.transmitting
+        st.jammed
+            || self.energy[energy_cell(self.channels, node, st.listen_channel)] > 0
+            || st.transmitting
     }
 
     /// Is this node currently transmitting?
@@ -629,6 +626,11 @@ impl Medium {
     pub fn clean_receptions(&self) -> u64 {
         self.clean_receptions
     }
+}
+
+/// Index of `(node, channel)` in [`Medium`]'s flat energy array.
+fn energy_cell(channels: u8, node: PhyNodeId, channel: u8) -> usize {
+    node.index() * channels as usize + channel as usize
 }
 
 #[cfg(test)]
