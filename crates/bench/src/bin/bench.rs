@@ -26,11 +26,6 @@
 //! * `chaos_overhead_pct` — wall-clock cost of the same replication
 //!   with an armed-but-empty fault plan (the fault subsystem's
 //!   standing overhead; results are asserted bit-identical),
-//! * `fabric_overhead_pct` — wall-clock cost of running a small
-//!   campaign through a 1-worker distributed fabric (lease files,
-//!   heartbeats, per-config shards, deterministic merge) relative to
-//!   the plain in-process campaign engine; the run asserts the two
-//!   paths produce byte-identical artifacts,
 //! * `allocs_per_event` — heap allocations per simulation event
 //!   (only with `--features alloc-count`, which installs a counting
 //!   global allocator; the zero-allocation hot path keeps this at
@@ -42,9 +37,6 @@
 
 use std::time::Duration;
 
-use qma_bench::campaign::fabric::{run_fabric, FabricConfig};
-use qma_bench::campaign::run_campaign;
-use qma_bench::campaign::spec::CampaignSpec;
 use qma_bench::runner::{run_seeds, Parallelism};
 use qma_bench::timing::{ns_per_call, time_once, JsonReport};
 use qma_core::qtable::UpdateParams;
@@ -240,52 +232,6 @@ fn bench_massive_10k(fast: bool, armed: bool) -> MassiveBench {
     }
 }
 
-/// Wall-clock cost of the fabric's coordination protocol when it is
-/// armed but uncontended: the same small campaign through the plain
-/// in-process engine and through a 1-worker fabric (lease create +
-/// heartbeat + shard write + merge per config). Artifacts are
-/// asserted byte-identical, so the delta is pure protocol overhead.
-fn bench_fabric_overhead() -> f64 {
-    let spec = CampaignSpec::parse(
-        r#"
-[campaign]
-name = "fabric_bench"
-scenario = "hidden_node"
-seed = 11
-replications = 4
-
-[fixed]
-delta = 50.0
-packets = 120
-
-[grid]
-mac = ["qma", "unslotted_csma"]
-"#,
-    )
-    .expect("fabric bench spec parses");
-    let base = std::env::temp_dir().join(format!("qma-fabric-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    let plain_dir = base.join("plain");
-    let fabric_dir = base.join("fabric");
-    let (plain, plain_wall) = time_once(|| {
-        run_campaign(&spec, &plain_dir, Parallelism::Serial, |_| {}).expect("plain campaign")
-    });
-    let cfg = FabricConfig {
-        worker_id: "bench".into(),
-        mode: Parallelism::Serial,
-        ..FabricConfig::default()
-    };
-    let (fabric, fabric_wall) =
-        time_once(|| run_fabric(&spec, &fabric_dir, &cfg, &|_| {}).expect("fabric campaign"));
-    assert_eq!(
-        std::fs::read(&fabric.csv_path).unwrap(),
-        std::fs::read(&plain.csv_path).unwrap(),
-        "fabric and plain campaign artifacts must be byte-identical"
-    );
-    let _ = std::fs::remove_dir_all(&base);
-    (fabric_wall.as_secs_f64() / plain_wall.as_secs_f64().max(f64::MIN_POSITIVE) - 1.0) * 100.0
-}
-
 fn main() {
     let env = qma_bench::BenchEnv::from_env();
     let out_path = env.out_or("BENCH_pr7.json");
@@ -371,14 +317,6 @@ fn main() {
         chaos_overhead_pct, armed.nodes_per_sec
     );
 
-    // The fabric's coordination cost when armed but uncontended — a
-    // campaign of real replications dominated by simulation time, so
-    // the protocol (lease fsync + heartbeat thread + shard write +
-    // merge per config) should be low single-digit percent; wall-clock
-    // noise can push the single-run figure either way around zero.
-    let fabric_overhead_pct = bench_fabric_overhead();
-    println!("fabric overhead (1w)    {fabric_overhead_pct:>10.2}  %");
-
     let allocs_per_event = ser.allocs as f64 / ser.total_events.max(1) as f64;
     if cfg!(feature = "alloc-count") {
         println!(
@@ -409,7 +347,6 @@ fn main() {
         .number("massive_events_per_sec", massive.events_per_sec)
         .number("massive_pdr_10k", massive.pdr)
         .number("chaos_overhead_pct", chaos_overhead_pct)
-        .number("fabric_overhead_pct", fabric_overhead_pct)
         .integer("events_per_replication", ser.total_events / reps.max(1));
     if cfg!(feature = "alloc-count") {
         report.number("allocs_per_event", allocs_per_event);

@@ -4,11 +4,19 @@
 //! cargo run --release -p qma-bench --bin campaign -- specs/<name>.toml [more specs...]
 //! ```
 //!
+//! Every run is a fabric run (see `campaign::fabric`): workers claim
+//! configs through leases under `<out>/<name>.fabric/`, publish one
+//! shard per finished config, and merge the shards in grid order into
+//! `<name>.csv` and `<name>.json`.
+//!
 //! Options:
 //!
 //! * `--serial` — replications on one thread (bit-identical results),
-//! * `--out-dir DIR` — artifact directory (also `QMA_BENCH_OUT_DIR`;
-//!   default: the working directory),
+//! * `--out-dir DIR` — artifact and fabric directory (also
+//!   `QMA_BENCH_OUT_DIR`; default: the working directory). Launch the
+//!   same command on several processes or hosts sharing `DIR`; they
+//!   split the grid, survive each other's crashes, and any of them
+//!   merges the final artifacts — byte-identical to a 1-worker run.
 //! * `--dry-run` — expand and list the config matrix without
 //!   simulating,
 //! * `--scheduler wheel|heap` — scheduling engine (default `wheel`;
@@ -16,18 +24,10 @@
 //!   are byte-identical either way — the flag exists to prove exactly
 //!   that, and to benchmark the boundary wheel against its fallback.
 //! * `--rep-timeout-s S` — per-replication wall-clock watchdog: a
-//!   replication exceeding `S` seconds becomes a `# FAILED` line
-//!   (with its reproduction seed) instead of hanging the campaign.
-//!
-//! Distributed fabric options (see `campaign::fabric`):
-//!
+//!   replication exceeding `S` seconds becomes a failed attempt (with
+//!   its reproduction seed) instead of hanging the campaign.
 //! * `--workers N` — run `N` cooperating fabric workers in this
-//!   process (lease-based work queue under `<out>/<name>.fabric/`).
-//! * `--join DIR` — join (or start) the fabric in `DIR` as one
-//!   worker. Launch the same command on several processes or hosts
-//!   sharing `DIR`; they split the grid, survive each other's
-//!   crashes, and any of them merges the final artifacts —
-//!   byte-identical to a single-process `--serial` run.
+//!   process (default 1).
 //! * `--worker-id ID` — explicit fabric worker identity (default:
 //!   process-id based).
 //! * `--max-attempts M` — attempts before a config is quarantined
@@ -36,24 +36,23 @@
 //!   cadence and staleness threshold (a dead worker's lease is
 //!   reclaimed once its heartbeat is older than the threshold).
 //!
-//! Each spec produces `<name>.csv` and `<name>.json` in the artifact
-//! directory. Re-running a half-finished campaign resumes: configs
-//! whose rows already exist are skipped and re-emitted verbatim, so
-//! the final artifacts are byte-identical to an uninterrupted run.
+//! Re-running a half-finished campaign resumes from its shards:
+//! finished configs are skipped and re-emitted verbatim, so the final
+//! artifacts are byte-identical to an uninterrupted run.
 //!
-//! A panicking replication is isolated: its config gets no artifact
-//! row, a `# FAILED` line names the config, replication index, exact
-//! seed and panic message (plus a reproduction command), the rest of
-//! the grid still runs, and the process exits non-zero at the end.
-//! Under the fabric, a config failing `--max-attempts` times is
-//! quarantined with its reproduction seed; the grid still completes.
+//! A panicking replication is isolated: its config is retried up to
+//! `--max-attempts` times and then quarantined, the rest of the grid
+//! still completes, and the process exits non-zero at the end. A
+//! `# FAILED` line names the config, replication index, exact seed and
+//! panic message, plus the quarantine record to delete for a retry.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use qma_bench::campaign::fabric::{run_fabric_workers, FabricConfig};
+use qma_bench::campaign::fabric::{quarantine_record_path, run_fabric_workers, FabricConfig};
+use qma_bench::campaign::grid::ConfigPoint;
 use qma_bench::campaign::spec::CampaignSpec;
-use qma_bench::campaign::{failure_report, run_campaign_opts, CampaignOptions, FailedRep};
+use qma_bench::campaign::{failure_report, FailedRep};
 use qma_bench::runner::Parallelism;
 use qma_bench::BenchEnv;
 
@@ -63,8 +62,7 @@ struct Args {
     mode: Parallelism,
     dry_run: bool,
     rep_timeout: Option<Duration>,
-    /// `Some(n)` ⇒ fabric mode with `n` in-process workers.
-    fabric_workers: Option<usize>,
+    workers: usize,
     worker_id: Option<String>,
     max_attempts: u32,
     heartbeat: Duration,
@@ -78,7 +76,7 @@ fn parse_args() -> Result<Args, String> {
     let mut mode = Parallelism::Rayon;
     let mut dry_run = false;
     let mut rep_timeout = None;
-    let mut fabric_workers = None;
+    let mut workers = 1;
     let mut worker_id = None;
     let defaults = FabricConfig::default();
     let mut max_attempts = defaults.max_attempts;
@@ -112,16 +110,11 @@ fn parse_args() -> Result<Args, String> {
                 rep_timeout = Some(Duration::from_secs_f64(s));
             }
             "--workers" => {
-                let n = argv
+                workers = argv
                     .next()
                     .and_then(|v| v.parse::<usize>().ok())
                     .filter(|&n| n >= 1)
                     .ok_or("--workers needs a positive worker count")?;
-                fabric_workers = Some(n);
-            }
-            "--join" => {
-                out_dir = PathBuf::from(argv.next().ok_or("--join needs a directory")?);
-                fabric_workers = Some(fabric_workers.unwrap_or(1));
             }
             "--worker-id" => {
                 worker_id = Some(argv.next().ok_or("--worker-id needs an identifier")?)
@@ -152,7 +145,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err("usage: campaign [--serial] [--dry-run] [--out-dir DIR] \
                      [--scheduler wheel|heap] [--rep-timeout-s S] \
-                     [--workers N] [--join DIR] [--worker-id ID] [--max-attempts M] \
+                     [--workers N] [--worker-id ID] [--max-attempts M] \
                      [--heartbeat-ms MS] [--lease-stale-ms MS] SPEC.toml..."
                     .into())
             }
@@ -169,7 +162,7 @@ fn parse_args() -> Result<Args, String> {
         mode,
         dry_run,
         rep_timeout,
-        fabric_workers,
+        workers,
         worker_id,
         max_attempts,
         heartbeat,
@@ -177,36 +170,37 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// What one spec's run produced, unified across the single-process
-/// and fabric paths: the count of *permanent* failures — quarantined
-/// configs on the fabric path, every failed config on the
-/// single-process path (where there is no retry, so each failure is
-/// final for exit-code purposes).
-struct SpecResult {
-    permanent: usize,
-}
-
-fn print_failures(path: &std::path::Path, failures: &[FailedRep]) {
+fn print_failures(
+    spec_path: &Path,
+    out_dir: &Path,
+    spec: &CampaignSpec,
+    points: &[ConfigPoint],
+    failures: &[FailedRep],
+) {
     // One deterministic `# FAILED` report, sorted by (config, rep) —
-    // byte-identical whether one process or N fabric workers observed
-    // the failures.
+    // byte-identical whichever worker observed the failures.
     for line in failure_report(failures) {
         eprintln!("{line}");
     }
     for f in failures {
         eprintln!(
-            "#   reproduce: cargo run --release -p qma-bench --bin campaign -- {} --serial   \
-             (config `{}` has no artifact row, so it recomputes; seeds are content-addressed, \
-             so rep {} re-runs under seed {})",
-            path.display(),
-            f.config_key,
-            f.rep,
-            f.seed
+            "#   reproduce: seeds are content-addressed, so rep {} of `{}` re-runs under seed {}",
+            f.rep, f.config_key, f.seed
         );
+        if let Some(point) = points.iter().find(|p| p.key() == f.config_key) {
+            eprintln!(
+                "#   retry: delete {} and re-run {} — every run skips the config while \
+                 that quarantine record exists",
+                quarantine_record_path(out_dir, &spec.name, &point.stem()).display(),
+                spec_path.display()
+            );
+        }
     }
 }
 
-fn run_spec(args: &Args, path: &PathBuf) -> Result<Option<SpecResult>, String> {
+/// Runs one spec; returns its count of quarantined (permanently
+/// failed) configs.
+fn run_spec(args: &Args, path: &Path) -> Result<usize, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let spec = CampaignSpec::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -225,53 +219,31 @@ fn run_spec(args: &Args, path: &PathBuf) -> Result<Option<SpecResult>, String> {
         for (i, point) in points.iter().enumerate() {
             println!("  [{}/{}] {}", i + 1, points.len(), point.key());
         }
-        return Ok(None);
+        return Ok(0);
     }
     let started = std::time::Instant::now();
-    if let Some(workers) = args.fabric_workers {
-        let mut cfg = FabricConfig {
-            max_attempts: args.max_attempts,
-            heartbeat: args.heartbeat,
-            lease_stale: args.lease_stale,
-            rep_timeout: args.rep_timeout,
-            mode: args.mode,
-            ..FabricConfig::default()
-        };
-        if let Some(id) = &args.worker_id {
-            cfg.worker_id.clone_from(id);
-        }
-        println!(
-            "# fabric: {} worker(s) as '{}' on {} (max {} attempts, heartbeat {}ms, stale {}ms)",
-            workers,
-            cfg.worker_id,
-            args.out_dir.join(format!("{}.fabric", spec.name)).display(),
-            cfg.max_attempts,
-            cfg.heartbeat.as_millis(),
-            cfg.lease_stale.as_millis(),
-        );
-        let progress = |line: &str| println!("  {line}");
-        let outcome = run_fabric_workers(&spec, &args.out_dir, &cfg, workers, &progress)?;
-        let elapsed = started.elapsed().as_secs_f64();
-        println!(
-            "# {}: {} computed, {} resumed, {} lease(s) reclaimed, {} quarantined in {elapsed:.2}s",
-            spec.name,
-            outcome.executed,
-            outcome.resumed,
-            outcome.reclaimed,
-            outcome.quarantined.len(),
-        );
-        println!("# wrote {}", outcome.csv_path.display());
-        println!("# wrote {}", outcome.json_path.display());
-        print_failures(path, &outcome.failures);
-        return Ok(Some(SpecResult {
-            permanent: outcome.quarantined.len(),
-        }));
-    }
-    let opts = CampaignOptions {
-        mode: args.mode,
+    let mut cfg = FabricConfig {
+        max_attempts: args.max_attempts,
+        heartbeat: args.heartbeat,
+        lease_stale: args.lease_stale,
         rep_timeout: args.rep_timeout,
+        mode: args.mode,
+        ..FabricConfig::default()
     };
-    let outcome = run_campaign_opts(&spec, &args.out_dir, &opts, |line| println!("  {line}"))?;
+    if let Some(id) = &args.worker_id {
+        cfg.worker_id.clone_from(id);
+    }
+    println!(
+        "# fabric: {} worker(s) as '{}' on {} (max {} attempts, heartbeat {}ms, stale {}ms)",
+        args.workers,
+        cfg.worker_id,
+        args.out_dir.join(format!("{}.fabric", spec.name)).display(),
+        cfg.max_attempts,
+        cfg.heartbeat.as_millis(),
+        cfg.lease_stale.as_millis(),
+    );
+    let progress = |line: &str| println!("  {line}");
+    let outcome = run_fabric_workers(&spec, &args.out_dir, &cfg, args.workers, &progress)?;
     let elapsed = started.elapsed().as_secs_f64();
     let events: u64 = outcome
         .rows
@@ -281,10 +253,13 @@ fn run_spec(args: &Args, path: &PathBuf) -> Result<Option<SpecResult>, String> {
     // Wall-clock throughput goes to stdout only — the artifacts stay
     // host-independent.
     println!(
-        "# {}: {} computed, {} resumed in {elapsed:.2}s ({:.0} events/sec wall)",
+        "# {}: {} computed, {} resumed, {} lease(s) reclaimed, {} quarantined in {elapsed:.2}s \
+         ({:.0} events/sec wall)",
         spec.name,
         outcome.executed,
-        outcome.skipped,
+        outcome.resumed,
+        outcome.reclaimed,
+        outcome.quarantined.len(),
         if elapsed > 0.0 {
             events as f64 / elapsed
         } else {
@@ -293,13 +268,8 @@ fn run_spec(args: &Args, path: &PathBuf) -> Result<Option<SpecResult>, String> {
     );
     println!("# wrote {}", outcome.csv_path.display());
     println!("# wrote {}", outcome.json_path.display());
-    // Panic-isolated replications: each failure is reported with the
-    // content-addressed seed and a standalone reproduction command;
-    // the campaign still wrote every healthy config's rows.
-    print_failures(path, &outcome.failures);
-    Ok(Some(SpecResult {
-        permanent: outcome.failures.len(),
-    }))
+    print_failures(path, &args.out_dir, &spec, &points, &outcome.failures);
+    Ok(outcome.quarantined.len())
 }
 
 fn main() {
@@ -317,8 +287,7 @@ fn main() {
                 eprintln!("campaign failed: {e}");
                 std::process::exit(1);
             }
-            Ok(Some(result)) => permanent += result.permanent,
-            Ok(None) => {}
+            Ok(quarantined) => permanent += quarantined,
         }
     }
     if permanent > 0 {

@@ -1,11 +1,11 @@
-//! Campaign artifacts: a resumable CSV and a final JSON report.
+//! Campaign artifacts: a CSV and a JSON report, rendered at the merge.
 //!
-//! The CSV is the campaign's durable state: one row per completed
-//! configuration, rewritten after every config so an interrupted
-//! campaign can resume by string-matching `config_key` columns
-//! (values are stored pre-formatted, so resumed rows are re-emitted
-//! byte-identically). The JSON report carries the same rows plus
-//! campaign metadata, rendered at the end of the run.
+//! Neither file is durable state. A fabric worker publishes one
+//! rendered row per finished config as a shard, and resume reads the
+//! shards; the merge folds them in grid order into both artifacts
+//! (values are stored pre-formatted, so a row read back from a shard
+//! re-emits byte-identically). The JSON report carries the same rows
+//! plus campaign metadata.
 //!
 //! Columns are fixed across all campaigns — grid parameters live
 //! inside `config_key` (`;`-separated, so the cell embeds in the
@@ -53,7 +53,7 @@ pub fn column_names() -> Vec<&'static str> {
 }
 
 /// One completed configuration, values pre-formatted (so a row read
-/// back from a partial CSV re-emits byte-identically).
+/// back from its shard re-emits byte-identically).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArtifactRow {
     values: Vec<String>,
@@ -98,11 +98,11 @@ impl ArtifactRow {
     }
 
     /// Rebuilds a row from pre-formatted cells, validating them
-    /// against the schema exactly like [`parse_csv`] does. The fabric
-    /// stores one rendered row per per-config shard file and folds
-    /// them back through this constructor at merge time — the
-    /// validation is what turns a corrupted shard into a hard error
-    /// instead of a silently wrong artifact.
+    /// against the schema. The fabric stores one rendered row per
+    /// per-config shard file and folds them back through this
+    /// constructor at merge time — the validation is what turns a
+    /// corrupted shard into a hard error instead of a silently wrong
+    /// artifact.
     pub fn from_cells(values: Vec<String>) -> Result<ArtifactRow, String> {
         validate_cells(&values)?;
         Ok(ArtifactRow { values })
@@ -154,75 +154,15 @@ pub fn render_csv(rows: &[ArtifactRow]) -> String {
     let mut out = column_names().join(",");
     out.push('\n');
     for row in rows {
-        out.push_str(&row.values.join(","));
+        out.push_str(&row.to_csv_line());
         out.push('\n');
     }
     out
 }
 
-/// [`parse_csv`] for the resume path: tolerates a **torn tail**.
-///
-/// A kill mid-write can leave the artifact as a prefix of a valid
-/// CSV: either the file ends at a row boundary (all rows complete) or
-/// it ends mid-row — in which case the final line has no terminating
-/// newline. Worse than failing validation, a torn final row can
-/// *pass* it: truncation inside the last float cell (`"123.456"` →
-/// `"123."`… → `"123"`) yields a well-formed row with a wrong value,
-/// which naive `config_key` string-matching would resume verbatim and
-/// silently break the byte-identity guarantee. The unterminated final
-/// line is therefore discarded before parsing, and the config it
-/// belonged to is recomputed.
-///
-/// Returns the complete rows plus the discarded tail, if any.
-/// Corruption in *terminated* rows is still a hard error — those were
-/// durably written and cannot be explained by an interrupted write.
-pub fn parse_csv_resume(text: &str) -> Result<(Vec<ArtifactRow>, Option<String>), String> {
-    let (complete, torn) = match text.rfind('\n') {
-        Some(last_nl) if last_nl + 1 < text.len() => {
-            (&text[..last_nl + 1], Some(text[last_nl + 1..].to_string()))
-        }
-        Some(_) => (text, None),
-        // No newline at all: even the header is torn; treat the whole
-        // file as the tail and start fresh.
-        None => ("", Some(text.to_string())),
-    };
-    if complete.is_empty() {
-        return Ok((Vec::new(), torn));
-    }
-    let rows = parse_csv(complete)?;
-    Ok((rows, torn))
-}
-
-/// Parses a CSV artifact previously written by [`render_csv`].
-///
-/// Rejects files whose header does not match the current schema —
-/// resuming across schema changes would silently mix column
-/// meanings.
-pub fn parse_csv(text: &str) -> Result<Vec<ArtifactRow>, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty artifact")?;
-    let expected = column_names().join(",");
-    if header != expected {
-        return Err(format!(
-            "artifact header mismatch (found {header:?}, expected {expected:?}); \
-             delete the stale artifact to recompute"
-        ));
-    }
-    let mut rows = Vec::new();
-    for (i, line) in lines.enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let values: Vec<String> = line.split(',').map(str::to_string).collect();
-        validate_cells(&values).map_err(|e| format!("artifact row {}: {e}", i + 2))?;
-        rows.push(ArtifactRow { values });
-    }
-    Ok(rows)
-}
-
-/// Schema validation shared by [`parse_csv`] and
-/// [`ArtifactRow::from_cells`]: every cell must parse as its column's
-/// type, and the cell count must match the schema.
+/// Schema validation behind [`ArtifactRow::from_cells`]: every cell
+/// must parse as its column's type, and the cell count must match the
+/// schema.
 fn validate_cells(values: &[String]) -> Result<(), String> {
     for ((name, kind), value) in COLUMNS.iter().zip(values) {
         let ok = match kind {
@@ -233,14 +173,14 @@ fn validate_cells(values: &[String]) -> Result<(), String> {
         if !ok {
             return Err(format!(
                 "cell {name} = {value:?} is not a valid {kind:?}; \
-                 delete the corrupted artifact to recompute"
+                 delete the corrupted shard to recompute"
             ));
         }
     }
     if values.len() != COLUMNS.len() {
         return Err(format!(
             "{} cells, expected {} — truncated write? \
-             delete the artifact to recompute",
+             delete the shard to recompute",
             values.len(),
             COLUMNS.len()
         ));
@@ -348,6 +288,16 @@ mod tests {
         ArtifactRow::from_aggregate(key, ScenarioKind::HiddenNode, 2021, &agg)
     }
 
+    /// The rows of a rendered CSV, read back cell by cell through
+    /// [`ArtifactRow::from_cells`] (the header is checked, not parsed).
+    fn rows_of(csv: &str) -> Result<Vec<ArtifactRow>, String> {
+        let mut lines = csv.lines();
+        assert_eq!(lines.next(), Some(column_names().join(",").as_str()));
+        lines
+            .map(|line| ArtifactRow::from_cells(line.split(',').map(str::to_string).collect()))
+            .collect()
+    }
+
     #[test]
     fn csv_roundtrips_byte_identically() {
         let rows = vec![
@@ -355,7 +305,7 @@ mod tests {
             sample_row("delta=25;mac=csma"),
         ];
         let csv = render_csv(&rows);
-        let parsed = parse_csv(&csv).unwrap();
+        let parsed = rows_of(&csv).unwrap();
         assert_eq!(parsed, rows);
         assert_eq!(render_csv(&parsed), csv);
         assert_eq!(parsed[0].config_key(), "delta=25;mac=qma");
@@ -372,65 +322,24 @@ mod tests {
     }
 
     #[test]
-    fn resume_parse_discards_only_the_torn_tail() {
-        let rows = vec![sample_row("k=1"), sample_row("k=2")];
-        let csv = render_csv(&rows);
-
-        // Complete file: nothing discarded.
-        let (ok, torn) = parse_csv_resume(&csv).unwrap();
-        assert_eq!(ok, rows);
-        assert_eq!(torn, None);
-
-        // Torn inside the last cell — the insidious case: the
-        // truncated float still validates, so only the missing
-        // terminator reveals the tear.
-        let torn_mid_cell = &csv[..csv.len() - 4];
-        assert!(!torn_mid_cell.ends_with('\n'));
-        let (ok, torn) = parse_csv_resume(torn_mid_cell).unwrap();
-        assert_eq!(ok, rows[..1], "only the complete first row survives");
-        assert!(torn.unwrap().starts_with("k=2"));
-
-        // Torn inside the config_key of the last row.
-        let second_row_at = csv.match_indices('\n').nth(1).unwrap().0 + 1;
-        let torn_in_key = &csv[..second_row_at + 2];
-        let (ok, torn) = parse_csv_resume(torn_in_key).unwrap();
-        assert_eq!(ok, rows[..1]);
-        assert_eq!(torn.as_deref(), Some("k="));
-
-        // Torn inside the header: everything is a tail, start fresh.
-        let (ok, torn) = parse_csv_resume("config_ke").unwrap();
-        assert!(ok.is_empty());
-        assert_eq!(torn.as_deref(), Some("config_ke"));
-
-        // Corruption in a *terminated* row is not a tear — still a
-        // hard error.
-        let corrupted = csv.replacen("0.910000", "abc", 1);
-        assert!(parse_csv_resume(&corrupted).is_err());
-    }
-
-    #[test]
-    fn parse_rejects_schema_drift_and_truncation() {
-        assert!(parse_csv("").is_err());
-        assert!(parse_csv("other,header\n1,2\n").is_err());
-        let good = render_csv(&[sample_row("k=1")]);
+    fn from_cells_rejects_truncation() {
+        let good = sample_row("k=1").to_csv_line();
         let truncated = good.rsplit_once(',').unwrap().0;
-        let header_plus_bad_row = format!(
-            "{}\n{}\n",
-            good.lines().next().unwrap(),
-            truncated.lines().last().unwrap()
-        );
-        assert!(parse_csv(&header_plus_bad_row).is_err());
+        let err = ArtifactRow::from_cells(truncated.split(',').map(str::to_string).collect())
+            .unwrap_err();
+        assert!(err.contains("truncated"), "unhelpful error: {err}");
+        assert!(ArtifactRow::from_cells(Vec::new()).is_err());
     }
 
     #[test]
-    fn parse_rejects_non_numeric_cells() {
+    fn from_cells_rejects_non_numeric_cells() {
         // Corrupt one numeric cell of an otherwise well-shaped row:
-        // resume must refuse it rather than re-emit garbage into the
-        // JSON report.
+        // the merge must refuse it rather than re-emit garbage into
+        // the JSON report.
         let good = render_csv(&[sample_row("k=1")]);
         let corrupted = good.replacen("0.910000", "abc", 1);
         assert_ne!(good, corrupted);
-        let err = parse_csv(&corrupted).unwrap_err();
+        let err = rows_of(&corrupted).unwrap_err();
         assert!(err.contains("pdr_mean"), "unhelpful error: {err}");
     }
 
@@ -457,7 +366,7 @@ mod tests {
     #[test]
     fn empty_campaign_renders_valid_artifacts() {
         let csv = render_csv(&[]);
-        assert_eq!(parse_csv(&csv).unwrap(), Vec::<ArtifactRow>::new());
+        assert_eq!(rows_of(&csv).unwrap(), Vec::<ArtifactRow>::new());
         let meta = CampaignMeta {
             name: "empty".into(),
             scenario: ScenarioKind::Convergence,

@@ -1,10 +1,11 @@
 //! The fault-tolerant distributed campaign fabric.
 //!
-//! A fabric run lets N independent workers — threads in one process
-//! (`--workers N`), separate processes, or processes on different
-//! hosts sharing a mount (`--join DIR`) — cooperatively execute one
-//! campaign spec. Coordination is pure filesystem protocol under
-//! `<out_dir>/<name>.fabric/`:
+//! Every campaign run is a fabric run. N independent workers — threads
+//! in one process (`--workers N`), separate processes, or processes on
+//! different hosts pointing `--out-dir` at one shared mount —
+//! cooperatively execute one campaign spec; a plain `campaign` run is
+//! a fabric of one worker. Coordination is pure filesystem protocol
+//! under `<out_dir>/<name>.fabric/`:
 //!
 //! * **Leases** (`leases/<stem>.lease`): a worker claims a config by
 //!   atomically creating its lease file (`O_CREAT|O_EXCL` + fsync).
@@ -33,8 +34,8 @@
 //!   completes; only the poisoned config has no row.
 //! * **Merge**: once every config is resolved (shard or quarantine),
 //!   any worker folds the shards **in grid order** into the campaign's
-//!   CSV/JSON artifacts — byte-identical to a single-process
-//!   `--serial` run — and derives the failure report from the
+//!   CSV/JSON artifacts — byte-identical whatever the worker count or
+//!   replication mode — and derives the failure report from the
 //!   quarantine set with deterministic `(config key, rep)` ordering.
 //!   The merge is idempotent; every worker may (and does) run it.
 
@@ -49,7 +50,7 @@ use super::artifact::{self, json_str, ArtifactRow, CampaignMeta};
 use super::durable::{fsync_dir, rename_durable};
 use super::grid::{fnv1a64, ConfigPoint};
 use super::spec::CampaignSpec;
-use super::{json_field, run_config, write_atomic, CampaignOptions, FailedRep};
+use super::{json_field, run_config, write_atomic, FailedRep};
 use crate::runner::Parallelism;
 
 /// Tuning knobs of one fabric worker.
@@ -72,11 +73,13 @@ pub struct FabricConfig {
     pub backoff_base: Duration,
     /// Backoff ceiling (capped exponential, round-indexed).
     pub backoff_cap: Duration,
-    /// Per-replication wall-clock watchdog (see
-    /// [`CampaignOptions::rep_timeout`]); the liveness complement to
-    /// the heartbeat — a hung replication keeps heartbeating (the
-    /// process is alive), so only the watchdog can turn it into a
-    /// failed attempt.
+    /// Per-replication wall-clock watchdog: a replication that takes
+    /// longer becomes a [`FailedRep`] (with its reproduction seed)
+    /// instead of hanging the worker. `None` disables the watchdog —
+    /// and with it the per-replication helper-thread hop. It is the
+    /// liveness complement to the heartbeat: a hung replication keeps
+    /// heartbeating (the process is alive), so only the watchdog can
+    /// turn it into a failed attempt.
     pub rep_timeout: Option<Duration>,
     /// Replication execution mode within one config.
     pub mode: Parallelism,
@@ -282,6 +285,13 @@ impl FabricDirs {
     }
 }
 
+/// Where the fabric under `out_dir` keeps the quarantine record of the
+/// config with this [`ConfigPoint::stem`]. While the record exists,
+/// every run skips the config; deleting it lets the next run retry.
+pub fn quarantine_record_path(out_dir: &Path, campaign: &str, stem: &str) -> PathBuf {
+    FabricDirs::new(out_dir, campaign).quarantine(stem)
+}
+
 /// A held lease: removing the file on drop releases it; a background
 /// thread renews the heartbeat until then.
 struct Lease {
@@ -453,12 +463,8 @@ fn shard_row(
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(format!("read shard {}: {e}", path.display())),
     };
-    let cells: Vec<String> = text
-        .trim_end_matches('\n')
-        .split(',')
-        .map(str::to_string)
-        .collect();
-    let row = ArtifactRow::from_cells(cells).map_err(|e| format!("shard {stem}: {e}"))?;
+    let row =
+        ArtifactRow::from_cells(shard_cells(&text)).map_err(|e| format!("shard {stem}: {e}"))?;
     if row.config_key() != point.key()
         || !row.matches_campaign(spec.scenario, spec.master_seed, spec.replications)
     {
@@ -466,6 +472,14 @@ fn shard_row(
         return Ok(None);
     }
     Ok(Some(row))
+}
+
+/// A shard file's text split into its row's cells.
+fn shard_cells(text: &str) -> Vec<String> {
+    text.trim_end_matches('\n')
+        .split(',')
+        .map(str::to_string)
+        .collect()
 }
 
 /// Reads a quarantine or attempt record, discarding one recorded
@@ -529,7 +543,7 @@ pub(crate) type ConfigRunner<'a> = dyn Fn(
         &CampaignSpec,
         &ConfigPoint,
         &ScenarioParams,
-        &CampaignOptions,
+        &FabricConfig,
     ) -> Result<ConfigAggregate, FailedRep>
     + Sync
     + 'a;
@@ -576,10 +590,6 @@ pub(crate) fn run_fabric_with(
     std::fs::create_dir_all(out_dir).map_err(|e| format!("create {}: {e}", out_dir.display()))?;
     let dirs = FabricDirs::new(out_dir, &spec.name);
     dirs.create()?;
-    let opts = CampaignOptions {
-        mode: cfg.mode,
-        rep_timeout: cfg.rep_timeout,
-    };
 
     let mut executed = 0usize;
     let mut reclaimed = 0usize;
@@ -587,10 +597,10 @@ pub(crate) fn run_fabric_with(
     loop {
         // One pass over the grid. A pass makes progress by executing,
         // failing (attempt recorded — retried next pass) or
-        // quarantining a config; a pass that finds zero unresolved
-        // configs ends the run. A pass that cannot progress at all —
-        // every remaining config is leased by a peer — reclaims stale
-        // leases or backs off.
+        // quarantining a config; a pass that leaves zero configs
+        // unresolved ends the run. A pass that cannot progress at
+        // all — every remaining config is leased by a peer — reclaims
+        // stale leases or backs off.
         let mut unresolved = 0usize;
         let mut leased_by_peers: Vec<usize> = Vec::new();
         let mut progressed = false;
@@ -602,10 +612,14 @@ pub(crate) fn run_fabric_with(
             if resolved {
                 continue;
             }
-            unresolved += 1;
+            // A config counts as unresolved only if it still is once
+            // its own iteration ends: one this worker resolves here
+            // (shard or quarantine) must not hold the grid open, nor
+            // be counted twice when a drain stops the worker.
             if cfg.drain_requested() {
                 // Lame duck: finish nothing new. The config stays
                 // unresolved for a peer or a restart to pick up.
+                unresolved += 1;
                 continue;
             }
             let attempts = read_note(&dirs.attempt(&stem), &key, spec.master_seed)
@@ -621,6 +635,7 @@ pub(crate) fn run_fabric_with(
                 continue;
             }
             let Some(lease) = Lease::acquire(&dirs, &stem, &key, cfg, attempts + 1)? else {
+                unresolved += 1;
                 leased_by_peers.push(i);
                 continue;
             };
@@ -634,6 +649,7 @@ pub(crate) fn run_fabric_with(
                 .unwrap_or(0);
             if under_lease != attempts {
                 drop(lease);
+                unresolved += 1;
                 progressed = true;
                 continue;
             }
@@ -646,7 +662,7 @@ pub(crate) fn run_fabric_with(
                 cfg.max_attempts,
                 cfg.worker_id
             ));
-            match exec(spec, point, p, &opts) {
+            match exec(spec, point, p, cfg) {
                 Ok(agg) => {
                     let row =
                         ArtifactRow::from_aggregate(&key, spec.scenario, spec.master_seed, &agg);
@@ -676,6 +692,8 @@ pub(crate) fn run_fabric_with(
                     ));
                     if consumed >= cfg.max_attempts {
                         promote_to_quarantine(&dirs, &stem, &key, spec, progress)?;
+                    } else {
+                        unresolved += 1;
                     }
                 }
             }
@@ -834,9 +852,8 @@ fn promote_to_quarantine(
 }
 
 /// Folds the per-config shards into the campaign's rows, in grid
-/// order — exactly the order (and bytes) a single-process run
-/// produces. Quarantined configs contribute no row, matching the
-/// single-process failed-config semantics.
+/// order — so the bytes do not depend on which worker finished which
+/// config. Quarantined configs contribute no row.
 fn merge(
     spec: &CampaignSpec,
     points: &[ConfigPoint],
@@ -917,32 +934,32 @@ pub fn run_fabric_workers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{failure_report, run_campaign};
+    use crate::campaign::failure_report;
 
-    fn tiny_spec(name: &str) -> CampaignSpec {
-        CampaignSpec::parse(&format!(
-            r#"
-[campaign]
-name = "{name}"
-scenario = "hidden_node"
-seed = 11
-replications = 2
+    /// The engine's byte reference: `tests/golden/tiny.toml` and the
+    /// artifacts it produced when they were committed.
+    fn tiny_spec() -> CampaignSpec {
+        CampaignSpec::parse(include_str!("../../tests/golden/tiny.toml")).unwrap()
+    }
 
-[fixed]
-delta = 50.0
-packets = 20
-
-[grid]
-mac = ["qma", "unslotted_csma"]
-"#
-        ))
-        .unwrap()
+    /// Asserts that a merged run wrote exactly the golden artifacts.
+    fn assert_golden(out: &FabricOutcome) {
+        assert_eq!(
+            std::fs::read(&out.csv_path).unwrap(),
+            include_bytes!("../../tests/golden/tiny.csv"),
+            "CSV differs from tests/golden/tiny.csv"
+        );
+        assert_eq!(
+            std::fs::read(&out.json_path).unwrap(),
+            include_bytes!("../../tests/golden/tiny.json"),
+            "JSON differs from tests/golden/tiny.json"
+        );
     }
 
     fn poisoned_spec(name: &str) -> CampaignSpec {
         // The chaos config with a −100 ms skew and a 4-clamp budget
         // panics deterministically on every attempt; its sibling with
-        // no skew completes (see the PR 6 isolation test).
+        // no skew completes.
         CampaignSpec::parse(&format!(
             r#"
 [campaign]
@@ -988,23 +1005,20 @@ skew_us = [0, -100000]
     }
 
     #[test]
-    fn single_worker_fabric_matches_single_process_bytes() {
+    fn single_worker_matches_golden_and_resumes_verbatim() {
         let fabric_dir = tmp_dir("one");
-        let plain_dir = tmp_dir("one-plain");
-        let spec = tiny_spec("t");
-        let plain = run_campaign(&spec, &plain_dir, Parallelism::Serial, |_| {}).unwrap();
+        let spec = tiny_spec();
         let out = run_fabric(&spec, &fabric_dir, &fast_cfg("w0"), &|_| {}).unwrap();
         assert_eq!(out.executed, 2);
         assert_eq!(out.resumed, 0);
         assert!(out.quarantined.is_empty());
+        assert_golden(&out);
         assert_eq!(
-            std::fs::read(&out.csv_path).unwrap(),
-            std::fs::read(&plain.csv_path).unwrap(),
-            "fabric CSV must be byte-identical to the single-process run"
-        );
-        assert_eq!(
-            std::fs::read(&out.json_path).unwrap(),
-            std::fs::read(&plain.json_path).unwrap()
+            std::fs::read_dir(FabricDirs::new(&fabric_dir, &spec.name).leases)
+                .unwrap()
+                .count(),
+            0,
+            "a clean run must release every lease"
         );
 
         // Re-joining a finished fabric resumes everything and merges
@@ -1012,39 +1026,40 @@ skew_us = [0, -100000]
         let again = run_fabric(&spec, &fabric_dir, &fast_cfg("w1"), &|_| {}).unwrap();
         assert_eq!(again.executed, 0);
         assert_eq!(again.resumed, 2);
-        assert_eq!(
-            std::fs::read(&again.csv_path).unwrap(),
-            std::fs::read(&plain.csv_path).unwrap()
-        );
+        assert_golden(&again);
         let _ = std::fs::remove_dir_all(&fabric_dir);
-        let _ = std::fs::remove_dir_all(&plain_dir);
+    }
+
+    #[test]
+    fn serial_and_parallel_artifacts_agree() {
+        for (tag, mode) in [("ser", Parallelism::Serial), ("par", Parallelism::Rayon)] {
+            let dir = tmp_dir(tag);
+            let cfg = FabricConfig {
+                mode,
+                ..fast_cfg("w0")
+            };
+            let out = run_fabric(&tiny_spec(), &dir, &cfg, &|_| {}).unwrap();
+            assert_eq!(out.executed, 2, "{tag}");
+            assert_golden(&out);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
     fn three_workers_split_the_grid_and_merge_identically() {
         let fabric_dir = tmp_dir("three");
-        let plain_dir = tmp_dir("three-plain");
-        let spec = tiny_spec("t");
-        let plain = run_campaign(&spec, &plain_dir, Parallelism::Serial, |_| {}).unwrap();
-        let out = run_fabric_workers(&spec, &fabric_dir, &fast_cfg("w"), 3, &|_| {}).unwrap();
+        let out =
+            run_fabric_workers(&tiny_spec(), &fabric_dir, &fast_cfg("w"), 3, &|_| {}).unwrap();
         assert_eq!(out.executed, 2, "each config must execute exactly once");
         assert!(out.quarantined.is_empty());
-        assert_eq!(
-            std::fs::read(&out.csv_path).unwrap(),
-            std::fs::read(&plain.csv_path).unwrap()
-        );
-        assert_eq!(
-            std::fs::read(&out.json_path).unwrap(),
-            std::fs::read(&plain.json_path).unwrap()
-        );
+        assert_golden(&out);
         let _ = std::fs::remove_dir_all(&fabric_dir);
-        let _ = std::fs::remove_dir_all(&plain_dir);
     }
 
     #[test]
     fn poisoned_config_is_quarantined_and_grid_completes() {
         let fabric_dir = tmp_dir("quarantine");
-        let plain_dir = tmp_dir("quarantine-plain");
+        let rayon_dir = tmp_dir("quarantine-rayon");
         let spec = poisoned_spec("t");
         let mut cfg = fast_cfg("w0");
         cfg.max_attempts = 2;
@@ -1059,40 +1074,54 @@ skew_us = [0, -100000]
         let q = &out.quarantined[0];
         assert!(q.config_key.contains("skew_us=-100000"));
         assert_eq!(q.attempts, 2);
-        assert_eq!(q.rep, 0);
+        assert_eq!(q.rep, 0, "lowest panicking rep must be reported");
         assert!(q.message.contains("past-clamp budget exceeded"));
+        let point = spec
+            .expand()
+            .unwrap()
+            .into_iter()
+            .find(|p| p.key() == q.config_key)
+            .unwrap();
+        assert_eq!(
+            q.seed,
+            point.seed_stream(spec.master_seed).derive(0).seed(),
+            "reported seed must be the replication's actual stream seed"
+        );
         assert!(
             notes.iter().any(|l| l.contains("QUARANTINED")),
             "quarantine not narrated: {notes:?}"
         );
+        // Header + exactly the healthy config's row.
+        let csv = std::fs::read(&out.csv_path).unwrap();
+        assert_eq!(String::from_utf8(csv.clone()).unwrap().lines().count(), 2);
 
-        // The failure report matches the single-process run exactly:
-        // same rep, same seed, same message, same ordering.
-        let plain = run_campaign(&spec, &plain_dir, Parallelism::Serial, |_| {}).unwrap();
+        // The failure is deterministic across execution modes: a
+        // rayon run reports the same rep, seed and message, and
+        // merges the same bytes.
+        let rayon_cfg = FabricConfig {
+            mode: Parallelism::Rayon,
+            ..cfg.clone()
+        };
+        let par = run_fabric(&spec, &rayon_dir, &rayon_cfg, &|_| {}).unwrap();
         assert_eq!(
             failure_report(&out.failures),
-            failure_report(&plain.failures),
-            "fabric and single-process failure reports must be identical"
+            failure_report(&par.failures),
+            "serial and rayon failure reports must be identical"
         );
-        // And the merged artifacts match (header + the healthy row).
-        assert_eq!(
-            std::fs::read(&out.csv_path).unwrap(),
-            std::fs::read(&plain.csv_path).unwrap()
-        );
+        assert_eq!(std::fs::read(&par.csv_path).unwrap(), csv);
 
         // A later worker must not retry the quarantined config.
         let again = run_fabric(&spec, &fabric_dir, &fast_cfg("w1"), &|_| {}).unwrap();
         assert_eq!(again.executed, 0);
         assert_eq!(again.quarantined.len(), 1);
         let _ = std::fs::remove_dir_all(&fabric_dir);
-        let _ = std::fs::remove_dir_all(&plain_dir);
+        let _ = std::fs::remove_dir_all(&rayon_dir);
     }
 
     #[test]
     fn stale_lease_is_reclaimed_and_config_reexecuted() {
         let fabric_dir = tmp_dir("reclaim");
-        let plain_dir = tmp_dir("reclaim-plain");
-        let spec = tiny_spec("t");
+        let spec = tiny_spec();
         let cfg = fast_cfg("w0");
 
         // Fake a dead worker: a lease with no heartbeat behind it.
@@ -1112,36 +1141,152 @@ skew_us = [0, -100000]
         );
         assert_eq!(out.executed, 2, "the reclaimed config must re-execute");
         assert!(out.quarantined.is_empty());
-        let plain = run_campaign(&spec, &plain_dir, Parallelism::Serial, |_| {}).unwrap();
-        assert_eq!(
-            std::fs::read(&out.csv_path).unwrap(),
-            std::fs::read(&plain.csv_path).unwrap(),
-            "reclaimed re-execution must stay byte-identical"
-        );
+        assert_golden(&out);
         let _ = std::fs::remove_dir_all(&fabric_dir);
-        let _ = std::fs::remove_dir_all(&plain_dir);
     }
 
     #[test]
     fn stale_shards_from_an_edited_seed_are_recomputed() {
-        let fabric_dir = tmp_dir("reseed");
-        let spec = tiny_spec("t");
-        run_fabric(&spec, &fabric_dir, &fast_cfg("w0"), &|_| {}).unwrap();
-        let mut reseeded = spec.clone();
+        // Editing the spec's master seed or replication count must
+        // not silently reuse shards computed under the old setting —
+        // that would break the "fixed master seed ⇒ byte-identical
+        // artifacts" guarantee.
+        let mut reseeded = tiny_spec();
         reseeded.master_seed = 7;
-        let out = run_fabric(&reseeded, &fabric_dir, &fast_cfg("w1"), &|_| {}).unwrap();
-        assert_eq!(
-            out.executed, 2,
-            "stale seed-11 shards must not satisfy seed 7"
-        );
-        let plain_dir = tmp_dir("reseed-plain");
-        let plain = run_campaign(&reseeded, &plain_dir, Parallelism::Serial, |_| {}).unwrap();
-        assert_eq!(
-            std::fs::read(&out.csv_path).unwrap(),
-            std::fs::read(&plain.csv_path).unwrap()
-        );
-        let _ = std::fs::remove_dir_all(&fabric_dir);
-        let _ = std::fs::remove_dir_all(&plain_dir);
+        let mut more_reps = tiny_spec();
+        more_reps.replications = 3;
+        for (tag, edited) in [("seed", reseeded), ("reps", more_reps)] {
+            let fabric_dir = tmp_dir(&format!("edit-{tag}"));
+            let fresh_dir = tmp_dir(&format!("edit-{tag}-fresh"));
+            run_fabric(&tiny_spec(), &fabric_dir, &fast_cfg("w0"), &|_| {}).unwrap();
+            let out = run_fabric(&edited, &fabric_dir, &fast_cfg("w1"), &|_| {}).unwrap();
+            assert_eq!(
+                (out.executed, out.resumed),
+                (2, 0),
+                "{tag}: stale shards must not satisfy the edited spec"
+            );
+            let fresh = run_fabric(&edited, &fresh_dir, &fast_cfg("w2"), &|_| {}).unwrap();
+            assert_eq!(
+                std::fs::read(&out.csv_path).unwrap(),
+                std::fs::read(&fresh.csv_path).unwrap(),
+                "{tag}"
+            );
+            let _ = std::fs::remove_dir_all(&fabric_dir);
+            let _ = std::fs::remove_dir_all(&fresh_dir);
+        }
+    }
+
+    #[test]
+    fn rep_timeout_watchdog_converts_a_slow_rep_into_a_failed_rep() {
+        // A 1 ms budget against replications that are slow by
+        // construction: every config must fail through the watchdog,
+        // each failure carrying its reproduction seed; the grid still
+        // completes (no rows). A generous budget must change nothing.
+        //
+        // Each config is 32 hidden QMA sources ticking through 100 s
+        // of warm-up and 300 packets each: about 1M events, ~80 ms in
+        // a release build and under a second in a debug build, where
+        // the two detached over-budget threads run to completion.
+        // (`tiny_spec` replications finish inside 1 ms in release.)
+        let dir = tmp_dir("watchdog");
+        let slow = CampaignSpec::parse(
+            r#"
+[campaign]
+name = "t"
+scenario = "hidden_node"
+seed = 11
+replications = 2
+
+[fixed]
+mac = "qma"
+nodes = 33
+packets = 300
+
+[grid]
+delta = [25.0, 50.0]
+"#,
+        )
+        .unwrap();
+        // One attempt per config, so exactly one thread per config
+        // is detached.
+        let strict = FabricConfig {
+            max_attempts: 1,
+            rep_timeout: Some(Duration::from_millis(1)),
+            ..fast_cfg("w0")
+        };
+        let out = run_fabric(&slow, &dir, &strict, &|_| {}).unwrap();
+        assert_eq!(out.executed, 0);
+        assert_eq!(out.failures.len(), 2, "every config must trip the watchdog");
+        for fail in &out.failures {
+            assert!(
+                fail.message.contains("wall-clock watchdog"),
+                "unhelpful watchdog message: {}",
+                fail.message
+            );
+            let point = slow
+                .expand()
+                .unwrap()
+                .into_iter()
+                .find(|p| p.key() == fail.config_key)
+                .unwrap();
+            assert_eq!(
+                fail.seed,
+                point.seed_stream(slow.master_seed).derive(fail.rep).seed(),
+                "watchdog failure must carry the replication's stream seed"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // The watchdog hop must not perturb determinism.
+        let generous = FabricConfig {
+            rep_timeout: Some(Duration::from_secs(600)),
+            ..fast_cfg("w0")
+        };
+        let out = run_fabric(&tiny_spec(), &dir, &generous, &|_| {}).unwrap();
+        assert_eq!(out.executed, 2);
+        assert!(out.failures.is_empty());
+        assert_golden(&out);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scenario_specific_constraints_are_enforced() {
+        // A fluctuating campaign whose horizon ends before the
+        // 160–200 s measurement window must be rejected up front.
+        let dir = tmp_dir("short");
+        let spec = CampaignSpec::parse(
+            r#"
+[campaign]
+name = "t"
+scenario = "fluctuating"
+
+[fixed]
+duration_s = 150
+"#,
+        )
+        .unwrap();
+        let err = run_fabric(&spec, &dir, &fast_cfg("w0"), &|_| {}).unwrap_err();
+        assert!(err.contains("duration_s"), "unhelpful error: {err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn invalid_grid_point_fails_before_running() {
+        let dir = tmp_dir("invalid");
+        let mut spec = tiny_spec();
+        spec.grid.push((
+            "nodes".into(),
+            vec![crate::campaign::grid::ParamValue::Int(1)], // < 2 nodes is invalid
+        ));
+        let err = run_fabric(&spec, &dir, &fast_cfg("w0"), &|_| {}).unwrap_err();
+        assert!(err.contains("nodes"), "unhelpful error: {err}");
+        for left in ["tiny.csv", "tiny.fabric"] {
+            assert!(
+                !dir.join(left).exists(),
+                "a rejected campaign must not leave {left} behind"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1219,8 +1364,7 @@ skew_us = [0, -100000]
     #[test]
     fn drain_flag_stops_lease_acquisition_and_resumes_cleanly() {
         let fabric_dir = tmp_dir("drain");
-        let plain_dir = tmp_dir("drain-plain");
-        let spec = tiny_spec("t");
+        let spec = tiny_spec();
         let flag = fabric_dir.join("drain.flag");
         std::fs::create_dir_all(&fabric_dir).unwrap();
         std::fs::write(&flag, "drain\n").unwrap();
@@ -1233,23 +1377,72 @@ skew_us = [0, -100000]
         assert_eq!(out.executed, 0);
         assert!(!out.csv_path.exists(), "a drained worker must not merge");
 
-        // Clearing the flag resumes to byte-identical artifacts.
+        // Clearing the flag resumes to the golden artifacts.
         std::fs::remove_file(&flag).unwrap();
         let out = run_fabric(&spec, &fabric_dir, &cfg, &|_| {}).unwrap();
         assert!(!out.drained);
         assert_eq!(out.executed, 2);
-        let plain = run_campaign(&spec, &plain_dir, Parallelism::Serial, |_| {}).unwrap();
-        assert_eq!(
-            std::fs::read(&out.csv_path).unwrap(),
-            std::fs::read(&plain.csv_path).unwrap()
-        );
+        assert_golden(&out);
         let _ = std::fs::remove_dir_all(&fabric_dir);
-        let _ = std::fs::remove_dir_all(&plain_dir);
+    }
+
+    /// Runs `tiny_spec` through one worker whose executor raises the
+    /// drain flag while it runs the grid's `nth` config. Returns the
+    /// fabric directory, the flag and the worker's outcome.
+    fn drain_during(tag: &str, nth: usize) -> (PathBuf, PathBuf, FabricOutcome) {
+        let dir = tmp_dir(tag);
+        let spec = tiny_spec();
+        let flag = dir.join("drain.flag");
+        let cfg = FabricConfig {
+            drain_flag: Some(flag.clone()),
+            ..fast_cfg("w0")
+        };
+        let raise_on = spec.expand().unwrap()[nth].key();
+        let exec = |spec: &CampaignSpec,
+                    point: &ConfigPoint,
+                    params: &ScenarioParams,
+                    cfg: &FabricConfig| {
+            if point.key() == raise_on {
+                std::fs::write(&flag, "drain\n").unwrap();
+            }
+            run_config(spec, point, params, cfg)
+        };
+        let out = run_fabric_with(&spec, &dir, &cfg, &|_| {}, &exec).unwrap();
+        (dir, flag, out)
+    }
+
+    #[test]
+    fn drain_raised_mid_config_counts_that_config_once() {
+        // The config running when the flag appears is executed, not
+        // unresolved: nothing is counted twice, nothing resumed.
+        let (dir, flag, out) = drain_during("drain-first", 0);
+        assert!(out.drained);
+        assert_eq!(out.executed, 1);
+        assert_eq!(out.resumed, 0);
+        assert!(!out.csv_path.exists(), "a drained worker must not merge");
+
+        std::fs::remove_file(&flag).unwrap();
+        let out = run_fabric(&tiny_spec(), &dir, &fast_cfg("w1"), &|_| {}).unwrap();
+        assert!(!out.drained);
+        assert_eq!((out.executed, out.resumed), (1, 1));
+        assert_golden(&out);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drain_raised_during_the_last_config_still_merges() {
+        // Nothing is left unresolved, so the drained worker finishes
+        // the campaign instead of reporting a partial stop.
+        let (dir, _flag, out) = drain_during("drain-last", 1);
+        assert!(!out.drained);
+        assert_eq!((out.executed, out.resumed), (2, 0));
+        assert_golden(&out);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn misconfigured_heartbeat_is_rejected() {
-        let spec = tiny_spec("t");
+        let spec = tiny_spec();
         let cfg = FabricConfig {
             heartbeat: Duration::from_secs(10),
             lease_stale: Duration::from_secs(1),
@@ -1257,6 +1450,80 @@ skew_us = [0, -100000]
         };
         let err = run_fabric(&spec, &tmp_dir("misconf"), &cfg, &|_| {}).unwrap_err();
         assert!(err.contains("lease_stale"), "unhelpful error: {err}");
+    }
+
+    mod readers {
+        //! Never-panic and round-trip properties for the on-disk state
+        //! every campaign resumes from: shard rows, attempt and
+        //! quarantine records, and lease bodies.
+
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Arbitrary text: random bytes, lossily decoded.
+        fn arb_text() -> impl Strategy<Value = String> {
+            prop::collection::vec(any::<u8>(), 0..256)
+                .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+        }
+
+        fn sample_note() -> QuarantineRecord {
+            QuarantineRecord {
+                config_key: "mac=qma;skew_us=-100000".into(),
+                attempts: 2,
+                max_attempts: 3,
+                master_seed: 11,
+                rep: 1,
+                seed: 0xDEAD_BEEF,
+                message: "boom, \"quoted\"\n\u{1}".into(),
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn on_disk_readers_never_panic(text in arb_text(), cut in 0usize..512) {
+                // Noise alone rarely gets past a parser's first check,
+                // so each valid file is also torn at an arbitrary byte
+                // and continued with the noise.
+                let golden_row = include_str!("../../tests/golden/tiny.csv")
+                    .lines()
+                    .nth(1)
+                    .unwrap()
+                    .to_string();
+                let valid = [
+                    sample_note().render(),
+                    format!("{golden_row}\n"),
+                    lease_body("w0-t1", 2, "mac=qma"),
+                ];
+                for file in &valid {
+                    let mut bytes = file.as_bytes()[..cut.min(file.len())].to_vec();
+                    bytes.extend_from_slice(text.as_bytes());
+                    let torn = String::from_utf8_lossy(&bytes).into_owned();
+                    for input in [&text, &torn] {
+                        let _ = ArtifactRow::from_cells(shard_cells(input));
+                        let _ = QuarantineRecord::parse(input);
+                        let _ = lease_owner(input);
+                        let _ = lease_attempt(input);
+                    }
+                }
+            }
+
+            #[test]
+            fn quarantine_record_render_then_parse_roundtrips(
+                config_key in arb_text(),
+                message in arb_text(),
+                attempts in any::<u32>(),
+                seed in any::<u64>(),
+            ) {
+                let note = QuarantineRecord {
+                    config_key,
+                    message,
+                    attempts,
+                    seed,
+                    ..sample_note()
+                };
+                prop_assert_eq!(QuarantineRecord::parse(&note.render()), Some(note));
+            }
+        }
     }
 
     mod interleavings {
@@ -1350,7 +1617,7 @@ delta = [30.0, 50.0]
             let exec = move |spec: &CampaignSpec,
                              point: &ConfigPoint,
                              _params: &ScenarioParams,
-                             _opts: &CampaignOptions|
+                             _cfg: &FabricConfig|
                   -> Result<ConfigAggregate, FailedRep> {
                 let key = point.key();
                 let so_far = {

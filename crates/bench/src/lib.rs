@@ -21,9 +21,11 @@
 //!
 //! The [`campaign`] module is the declarative sweep engine on top of
 //! it: the `campaign` binary expands a TOML spec (scenario ×
-//! parameter grid) into a deterministic config matrix, streams
-//! replication results into [`qma_stats`] accumulators and emits
-//! resumable CSV/JSON artifacts. [`env`] holds the typed
+//! parameter grid) into a deterministic config matrix, runs it as a
+//! lease-based fabric of one or more workers whose per-config shards
+//! make every run resumable, streams replication results into
+//! [`qma_stats`] accumulators and merges the shards into CSV/JSON
+//! artifacts. [`env`] holds the typed
 //! `QMA_BENCH_*` configuration shared by the `bench` and `campaign`
 //! binaries.
 //!

@@ -33,7 +33,7 @@
 //! artifacts are a pure function of `(spec, master seed)` no matter
 //! how many daemon restarts, worker kills or drain/resume cycles
 //! happened along the way — the acceptance bar is byte-identity with
-//! an uninterrupted single-process `--serial` run.
+//! an uninterrupted 1-worker `--serial` run.
 
 pub mod daemon;
 pub mod intake;

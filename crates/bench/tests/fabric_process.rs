@@ -2,19 +2,17 @@
 //! process is `kill -9`'d mid-config and the fabric must recover —
 //! the stale lease is reclaimed, the killed config re-executes from
 //! its content-addressed seed, and the merged artifacts are
-//! byte-identical to an undisturbed single-process run. A separate
-//! case drives a permanently failing spec through a child worker and
-//! checks the quarantine exit contract (non-zero exit, reproduction
-//! seed printed, grid still completed).
+//! byte-identical to an undisturbed run. A separate case drives a
+//! permanently failing spec through a child worker and checks the
+//! quarantine exit contract (non-zero exit, reproduction seed and
+//! quarantine record printed, grid still completed).
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use qma_bench::campaign::fabric::{run_fabric, FabricConfig};
-use qma_bench::campaign::run_campaign;
+use qma_bench::campaign::fabric::{quarantine_record_path, run_fabric, FabricConfig};
 use qma_bench::campaign::spec::CampaignSpec;
-use qma_bench::runner::Parallelism;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("qma-fabric-proc-{tag}-{}", std::process::id()));
@@ -72,7 +70,7 @@ fn write_spec(dir: &Path, name: &str, text: &str) -> PathBuf {
 
 fn spawn_worker(spec: &Path, fabric_dir: &Path, extra: &[&str]) -> Child {
     Command::new(env!("CARGO_BIN_EXE_campaign"))
-        .arg("--join")
+        .arg("--out-dir")
         .arg(fabric_dir)
         .arg("--serial")
         .args(extra)
@@ -156,19 +154,18 @@ fn killed_worker_is_reclaimed_and_merge_stays_byte_identical() {
         "reclaim not narrated: {notes:?}"
     );
 
-    // Byte-identity: the post-crash merge equals an undisturbed
-    // single-process `--serial` run — same rows, same order, no
+    // Byte-identity: the post-crash merge equals a fresh, uncontended
+    // run in a separate directory — same rows, same order, no
     // duplicates from the interrupted first execution.
-    let plain_dir = work.join("plain");
-    let plain = run_campaign(&spec, &plain_dir, Parallelism::Serial, |_| {}).unwrap();
+    let fresh = run_fabric(&spec, &work.join("fresh"), &cfg, &|_| {}).unwrap();
     assert_eq!(
         std::fs::read(&out.csv_path).unwrap(),
-        std::fs::read(&plain.csv_path).unwrap(),
+        std::fs::read(&fresh.csv_path).unwrap(),
         "crash-recovered CSV must be byte-identical"
     );
     assert_eq!(
         std::fs::read(&out.json_path).unwrap(),
-        std::fs::read(&plain.json_path).unwrap(),
+        std::fs::read(&fresh.json_path).unwrap(),
         "crash-recovered JSON must be byte-identical"
     );
     let _ = std::fs::remove_dir_all(&work);
@@ -199,9 +196,23 @@ fn quarantined_campaign_exits_nonzero_with_reproduction_seed() {
         "failure report must carry the reproduction seed:\n{stderr}"
     );
 
+    // A re-run skips the config while its quarantine record exists,
+    // so the retry hint must name that record.
+    let spec = CampaignSpec::parse(POISON_SPEC).unwrap();
+    let poisoned = spec
+        .expand()
+        .unwrap()
+        .into_iter()
+        .find(|p| p.key().contains("skew_us=-100000"))
+        .unwrap();
+    let record_path = quarantine_record_path(&fabric_dir, &spec.name, &poisoned.stem());
+    assert!(
+        stderr.contains(&format!("delete {}", record_path.display())),
+        "failure report must name the quarantine record to delete:\n{stderr}"
+    );
+
     // The grid still completed: the healthy config has its artifact
     // row, the poisoned one has a quarantine record carrying its key.
-    let spec = CampaignSpec::parse(POISON_SPEC).unwrap();
     let csv = std::fs::read_to_string(fabric_dir.join(format!("{}.csv", spec.name))).unwrap();
     assert_eq!(csv.lines().count(), 2, "header + healthy row:\n{csv}");
     let quarantine_dir = fabric_dir.join(format!("{}.fabric/quarantine", spec.name));
@@ -210,7 +221,8 @@ fn quarantined_campaign_exits_nonzero_with_reproduction_seed() {
         .flatten()
         .collect();
     assert_eq!(records.len(), 1);
-    let record = std::fs::read_to_string(records[0].path()).unwrap();
+    assert_eq!(records[0].path(), record_path);
+    let record = std::fs::read_to_string(&record_path).unwrap();
     for field in [
         "config_key",
         "attempts",

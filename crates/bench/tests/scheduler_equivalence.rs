@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use qma_bench::campaign::run_campaign;
+use qma_bench::campaign::fabric::{run_fabric, FabricConfig};
 use qma_bench::campaign::spec::CampaignSpec;
 use qma_bench::runner::Parallelism;
 
@@ -19,7 +19,11 @@ fn tmp_dir(tag: &str) -> PathBuf {
 fn artifacts(spec: &CampaignSpec, tag: &str, mode: Parallelism, wheel: bool) -> (Vec<u8>, Vec<u8>) {
     qma_netsim::set_default_scheduler_wheel(wheel);
     let dir = tmp_dir(tag);
-    let out = run_campaign(spec, &dir, mode, |_| {}).expect("campaign runs");
+    let cfg = FabricConfig {
+        mode,
+        ..FabricConfig::default()
+    };
+    let out = run_fabric(spec, &dir, &cfg, &|_| {}).expect("campaign runs");
     qma_netsim::set_default_scheduler_wheel(true);
     let csv = std::fs::read(&out.csv_path).unwrap();
     let json = std::fs::read(&out.json_path).unwrap();

@@ -9,9 +9,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use qma_bench::campaign::run_campaign;
+use qma_bench::campaign::fabric::{run_fabric, FabricConfig};
 use qma_bench::campaign::spec::CampaignSpec;
-use qma_bench::runner::Parallelism;
 use qma_bench::service::ServicePaths;
 
 /// Heavy enough (in a debug build) that each config runs for a long
@@ -136,6 +135,19 @@ fn sigkill(pid: u32) {
         .unwrap();
 }
 
+/// Runs `LONG_SPEC` fresh and uncontended under `work/fresh`; returns
+/// the path of its CSV, the bytes every recovered run must match.
+fn fresh_run(work: &Path) -> PathBuf {
+    let spec = CampaignSpec::parse(LONG_SPEC).unwrap();
+    let cfg = FabricConfig {
+        worker_id: "fresh".into(),
+        ..FabricConfig::default()
+    };
+    run_fabric(&spec, &work.join("fresh"), &cfg, &|_| {})
+        .unwrap()
+        .csv_path
+}
+
 fn wait_exit(child: &mut Child, deadline: Duration) -> std::process::ExitStatus {
     let limit = Instant::now() + deadline;
     loop {
@@ -198,14 +210,13 @@ fn killed_worker_and_daemon_recover_byte_identical() {
         || journal_reached(&paths, &id, "archived"),
     );
 
-    // Byte-identity: the crash-riddled service run equals a plain
-    // serial in-process campaign.
-    let spec = CampaignSpec::parse(LONG_SPEC).unwrap();
-    let plain = run_campaign(&spec, &work.join("plain"), Parallelism::Serial, |_| {}).unwrap();
+    // Byte-identity: the crash-riddled service run equals a fresh,
+    // uncontended in-process run.
+    let fresh = fresh_run(&work);
     assert_eq!(
         std::fs::read(&archived_csv).unwrap(),
-        std::fs::read(&plain.csv_path).unwrap(),
-        "service-recovered CSV must be byte-identical to --serial"
+        std::fs::read(fresh).unwrap(),
+        "service-recovered CSV must be byte-identical to an undisturbed run"
     );
 
     // The working directory is retired once archived.
@@ -250,7 +261,7 @@ fn sigterm_drains_to_exit_zero_and_restart_completes() {
     assert!(stdout.contains("draining"), "{stdout}");
 
     // Restart: the drained campaign resumes and archives; its bytes
-    // match a plain serial run.
+    // match an undisturbed run.
     let mut daemon = spawn_daemon(&root, &["--workers", "2"]);
     let archived_csv = paths.archive.join(&id).join("svclong.csv");
     wait_for(
@@ -258,11 +269,9 @@ fn sigterm_drains_to_exit_zero_and_restart_completes() {
         Duration::from_secs(300),
         || archived_csv.exists(),
     );
-    let spec = CampaignSpec::parse(LONG_SPEC).unwrap();
-    let plain = run_campaign(&spec, &work.join("plain"), Parallelism::Serial, |_| {}).unwrap();
     assert_eq!(
         std::fs::read(&archived_csv).unwrap(),
-        std::fs::read(&plain.csv_path).unwrap()
+        std::fs::read(fresh_run(&work)).unwrap()
     );
 
     // An idle daemon drains instantly.
@@ -303,13 +312,15 @@ fn circuit_breaker_quarantines_a_worker_killing_campaign() {
         reason.contains("worker"),
         "unhelpful breaker reason: {reason}"
     );
+    // The daemon publishes `reason.json` first and journals `failed`
+    // last, so the rest of the quarantine is only complete then.
+    wait_for("the failed journal state", Duration::from_secs(60), || {
+        journal_reached(&paths, &id, "failed")
+    });
     assert!(
         paths.quarantine.join(&id).join("spec.toml").exists(),
         "quarantine must carry the spec for reproduction"
     );
-    wait_for("the failed journal state", Duration::from_secs(60), || {
-        journal_reached(&paths, &id, "failed")
-    });
 
     sigterm(daemon.id());
     assert!(wait_exit(&mut daemon, Duration::from_secs(60)).success());
