@@ -12,17 +12,13 @@
 //! Options:
 //!
 //! * `--serial` — replications on one thread (bit-identical results),
-//! * `--out-dir DIR` — artifact and fabric directory (also
-//!   `QMA_BENCH_OUT_DIR`; default: the working directory). Launch the
-//!   same command on several processes or hosts sharing `DIR`; they
-//!   split the grid, survive each other's crashes, and any of them
-//!   merges the final artifacts — byte-identical to a 1-worker run.
+//! * `--out-dir DIR` — artifact and fabric directory (default: the
+//!   working directory). Launch the same command on several processes
+//!   or hosts sharing `DIR`; they split the grid, survive each other's
+//!   crashes, and any of them merges the final artifacts —
+//!   byte-identical to a 1-worker run.
 //! * `--dry-run` — expand and list the config matrix without
 //!   simulating,
-//! * `--scheduler wheel|heap` — scheduling engine (default `wheel`;
-//!   `heap` routes every event through the binary heap). Artifacts
-//!   are byte-identical either way — the flag exists to prove exactly
-//!   that, and to benchmark the boundary wheel against its fallback.
 //! * `--rep-timeout-s S` — per-replication wall-clock watchdog: a
 //!   replication exceeding `S` seconds becomes a failed attempt (with
 //!   its reproduction seed) instead of hanging the campaign.
@@ -54,7 +50,6 @@ use qma_bench::campaign::grid::ConfigPoint;
 use qma_bench::campaign::spec::CampaignSpec;
 use qma_bench::campaign::{failure_report, FailedRep};
 use qma_bench::runner::Parallelism;
-use qma_bench::BenchEnv;
 
 struct Args {
     specs: Vec<PathBuf>,
@@ -70,9 +65,8 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let env = BenchEnv::from_env();
     let mut specs = Vec::new();
-    let mut out_dir = env.out_dir_or_cwd();
+    let mut out_dir = PathBuf::from(".");
     let mut mode = Parallelism::Rayon;
     let mut dry_run = false;
     let mut rep_timeout = None;
@@ -89,17 +83,6 @@ fn parse_args() -> Result<Args, String> {
             "--dry-run" => dry_run = true,
             "--out-dir" => {
                 out_dir = PathBuf::from(argv.next().ok_or("--out-dir needs a directory")?)
-            }
-            "--scheduler" => {
-                match argv.next().as_deref() {
-                    Some("wheel") => qma_netsim::set_default_scheduler_wheel(true),
-                    Some("heap") => qma_netsim::set_default_scheduler_wheel(false),
-                    other => {
-                        return Err(format!(
-                            "--scheduler needs `wheel` or `heap`, got {other:?}"
-                        ))
-                    }
-                };
             }
             "--rep-timeout-s" => {
                 let s = argv
@@ -144,8 +127,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: campaign [--serial] [--dry-run] [--out-dir DIR] \
-                     [--scheduler wheel|heap] [--rep-timeout-s S] \
-                     [--workers N] [--worker-id ID] [--max-attempts M] \
+                     [--rep-timeout-s S] [--workers N] [--worker-id ID] [--max-attempts M] \
                      [--heartbeat-ms MS] [--lease-stale-ms MS] SPEC.toml..."
                     .into())
             }

@@ -25,9 +25,7 @@
 //! lease-based fabric of one or more workers whose per-config shards
 //! make every run resumable, streams replication results into
 //! [`qma_stats`] accumulators and merges the shards into CSV/JSON
-//! artifacts. [`env`] holds the typed
-//! `QMA_BENCH_*` configuration shared by the `bench` and `campaign`
-//! binaries.
+//! artifacts.
 //!
 //! The [`service`] module is the standing layer above both: the
 //! `qmad` daemon supervises a crash-safe spec intake queue and a
@@ -40,12 +38,8 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod env;
 pub mod runner;
 pub mod service;
-pub mod timing;
-
-pub use env::BenchEnv;
 
 /// Master seed for experiment binaries.
 pub fn seed() -> u64 {

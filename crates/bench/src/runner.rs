@@ -172,21 +172,6 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Convenience wrapper for a single configuration: returns the
-/// replication results in order.
-pub fn run_seeds<R, F>(reps: u64, master_seed: u64, mode: Parallelism, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(u64, SeedSequence) -> R + Sync,
-{
-    run_replications(vec![()], reps, master_seed, mode, |(), rep, seeds| {
-        f(rep, seeds)
-    })
-    .pop()
-    .expect("one configuration yields one group")
-    .runs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,13 +260,5 @@ mod tests {
             0u8
         });
         assert_eq!(hung, Err(WatchdogError::TimedOut));
-    }
-
-    #[test]
-    fn run_seeds_matches_manual_derivation() {
-        let seeds = run_seeds(4, 11, Parallelism::Rayon, |_, s| s.seed());
-        let root = qma_des::SeedSequence::new(11).derive(0);
-        let expected: Vec<u64> = (0..4).map(|r| root.derive(r).seed()).collect();
-        assert_eq!(seeds, expected);
     }
 }

@@ -17,7 +17,7 @@
 //! breaker quarantines a campaign whose spec keeps killing workers
 //! instead of burning the fleet on it.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use crate::campaign::durable::write_atomic;
@@ -514,7 +514,7 @@ impl Daemon {
         (self.log)(&format!("campaign {} archived: {reason}", active.id));
         let _ = std::fs::remove_file(self.paths.active_spec(&active.id));
         let _ = std::fs::remove_file(self.paths.cancel_marker(&active.id));
-        let _ = std::fs::remove_dir_all(&out_dir);
+        remove_working_dir(&out_dir);
         Ok(())
     }
 
@@ -568,7 +568,7 @@ impl Daemon {
         (self.log)(&format!("campaign {} failed: {reason}", active.id));
         let _ = std::fs::remove_file(self.paths.active_spec(&active.id));
         let _ = std::fs::remove_file(self.paths.cancel_marker(&active.id));
-        let _ = std::fs::remove_dir_all(self.paths.out_dir(&active.id));
+        remove_working_dir(&self.paths.out_dir(&active.id));
         Ok(())
     }
 
@@ -629,6 +629,22 @@ impl Daemon {
                 .unwrap_or_default(),
             archived: list_ids(&self.paths.archive),
             failed: list_ids(&self.paths.quarantine),
+        }
+    }
+}
+
+/// Deletes a retired campaign's working directory. A worker orphaned
+/// by an earlier daemon incarnation (its daemon was SIGKILLed) can
+/// still be publishing its own merge there: a file it creates while
+/// `remove_dir_all` runs fails the final `rmdir` ("directory not
+/// empty") and the directory would survive the retirement. Retrying
+/// removes the newcomer. Once the directory is gone, the orphan's next
+/// publish fails instead of recreating it: `write_atomic` creates no
+/// parent directories.
+fn remove_working_dir(dir: &Path) {
+    for _ in 0..100 {
+        if std::fs::remove_dir_all(dir).is_ok() || !dir.exists() {
+            return;
         }
     }
 }

@@ -5,7 +5,8 @@
 //! byte-identical to an undisturbed run. A separate case drives a
 //! permanently failing spec through a child worker and checks the
 //! quarantine exit contract (non-zero exit, reproduction seed and
-//! quarantine record printed, grid still completed).
+//! quarantine record printed, grid still completed). A third checks
+//! that deleted flags are refused before any work starts.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -234,6 +235,44 @@ fn quarantined_campaign_exits_nonzero_with_reproduction_seed() {
             record.contains(field),
             "quarantine record lacks {field}:\n{record}"
         );
+    }
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn deleted_flags_are_refused_before_any_work() {
+    // `--scheduler` and `--join` were deleted: each must be an unknown
+    // flag (exit 2, usage error) that never reaches the spec, so no
+    // fabric directory appears in the default out dir or the one
+    // `--join` named.
+    let work = tmp_dir("flags");
+    let spec_path = write_spec(&work, "poison.toml", POISON_SPEC);
+    let joined = work.join("joined");
+    let joined_arg = joined.to_str().unwrap();
+    for flags in [["--scheduler", "heap"], ["--join", joined_arg]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_campaign"))
+            .current_dir(&work)
+            .args(flags)
+            .arg(&spec_path)
+            .output()
+            .expect("run campaign");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{flags:?} must be a usage error\nstderr:\n{stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("unknown flag {}", flags[0])),
+            "{flags:?} not refused as unknown:\n{stderr}"
+        );
+        for dir in [&work, &joined] {
+            assert!(
+                !dir.join("poison.fabric").exists(),
+                "{flags:?} left {}/poison.fabric behind",
+                dir.display()
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&work);
 }

@@ -1,8 +1,9 @@
 //! Wheel-vs-heap campaign equivalence: the boundary-wheel scheduler
 //! must be unobservable in campaign artifacts. The same spec run with
-//! `--scheduler wheel` and `--scheduler heap` (here: via the process
-//! default the flag sets) must produce **byte-identical** CSV and
-//! JSON artifacts, serially and in parallel.
+//! the wheel and with every event through the binary heap (switched
+//! by the process default, `qma_netsim::set_default_scheduler_wheel`)
+//! must produce **byte-identical** CSV and JSON artifacts, serially
+//! and in parallel.
 
 use std::path::PathBuf;
 

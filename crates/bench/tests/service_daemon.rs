@@ -13,9 +13,17 @@ use qma_bench::campaign::fabric::{run_fabric, FabricConfig};
 use qma_bench::campaign::spec::CampaignSpec;
 use qma_bench::service::ServicePaths;
 
-/// Heavy enough (in a debug build) that each config runs for a long
-/// stretch, so SIGKILL/SIGTERM land mid-campaign.
-const LONG_SPEC: &str = r#"
+/// The drills' campaign: two QMA configs that are slow by
+/// construction, so a worker holds each lease for a long stretch and
+/// SIGKILL/SIGTERM land mid-config whatever the build profile. A
+/// config is 2 replications of a saturated hidden-node star, about
+/// half a second on one idle core in either profile: 80 sources
+/// (about 5M events) in a release build, 8 sources (about 0.45M) in a
+/// debug build, which runs each event about ten times slower.
+fn long_spec() -> String {
+    let nodes = if cfg!(debug_assertions) { 9 } else { 81 };
+    format!(
+        r#"
 [campaign]
 name = "svclong"
 scenario = "hidden_node"
@@ -23,12 +31,15 @@ seed = 5
 replications = 2
 
 [fixed]
-delta = 50.0
-packets = 150
+mac = "qma"
+nodes = {nodes}
+packets = 300
 
 [grid]
-mac = ["qma", "unslotted_csma"]
-"#;
+delta = [25.0, 50.0]
+"#
+    )
+}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("qma-svc-{tag}-{}", std::process::id()));
@@ -37,10 +48,35 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn spawn_daemon(root: &Path, extra: &[&str]) -> Child {
+/// A spawned `qmad`, SIGKILLed when dropped: a test that fails (its
+/// panic unwinds through the guard) leaves no daemon running. After a
+/// clean exit the kill is a no-op.
+struct Daemon(Child);
+
+impl std::ops::Deref for Daemon {
+    type Target = Child;
+    fn deref(&self) -> &Child {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Daemon {
+    fn deref_mut(&mut self) -> &mut Child {
+        &mut self.0
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+fn spawn_daemon(root: &Path, extra: &[&str]) -> Daemon {
     let log = std::fs::File::create(root.join("daemon.log")).unwrap();
     let elog = std::fs::File::create(root.join("daemon.err")).unwrap();
-    Command::new(env!("CARGO_BIN_EXE_qmad"))
+    let child = Command::new(env!("CARGO_BIN_EXE_qmad"))
         .arg("--root")
         .arg(root)
         .args(["--heartbeat-ms", "25", "--lease-stale-ms", "500"])
@@ -48,7 +84,8 @@ fn spawn_daemon(root: &Path, extra: &[&str]) -> Child {
         .stdout(Stdio::from(log))
         .stderr(Stdio::from(elog))
         .spawn()
-        .expect("spawn qmad")
+        .expect("spawn qmad");
+    Daemon(child)
 }
 
 fn ctl(root: &Path, args: &[&str]) -> (i32, String) {
@@ -120,6 +157,24 @@ fn wait_for_lease(paths: &ServicePaths, id: &str, spec_name: &str) {
     });
 }
 
+/// Waits until `status.json` lists at least one worker pid. A lease
+/// can appear a beat before the supervisor's next status snapshot
+/// lists the worker that holds it, so one read is not enough.
+fn wait_for_worker_pids(paths: &ServicePaths) -> Vec<u32> {
+    let mut pids = Vec::new();
+    wait_for(
+        "status.json to expose worker pids",
+        Duration::from_secs(30),
+        || {
+            pids = std::fs::read_to_string(&paths.status)
+                .map(|s| worker_pids(&s))
+                .unwrap_or_default();
+            !pids.is_empty()
+        },
+    );
+    pids
+}
+
 fn sigterm(pid: u32) {
     assert!(Command::new("kill")
         .args(["-TERM", &pid.to_string()])
@@ -135,10 +190,11 @@ fn sigkill(pid: u32) {
         .unwrap();
 }
 
-/// Runs `LONG_SPEC` fresh and uncontended under `work/fresh`; returns
-/// the path of its CSV, the bytes every recovered run must match.
+/// Runs [`long_spec`] fresh and uncontended under `work/fresh`;
+/// returns the path of its CSV, the bytes every recovered run must
+/// match.
 fn fresh_run(work: &Path) -> PathBuf {
-    let spec = CampaignSpec::parse(LONG_SPEC).unwrap();
+    let spec = CampaignSpec::parse(&long_spec()).unwrap();
     let cfg = FabricConfig {
         worker_id: "fresh".into(),
         ..FabricConfig::default()
@@ -165,7 +221,7 @@ fn killed_worker_and_daemon_recover_byte_identical() {
     let root = work.join("root");
     std::fs::create_dir_all(&root).unwrap();
     let spec_path = work.join("svclong.toml");
-    std::fs::write(&spec_path, LONG_SPEC).unwrap();
+    std::fs::write(&spec_path, long_spec()).unwrap();
     let paths = ServicePaths::new(&root);
 
     let mut daemon = spawn_daemon(&root, &["--workers", "2"]);
@@ -173,20 +229,8 @@ fn killed_worker_and_daemon_recover_byte_identical() {
     wait_for_lease(&paths, &id, "svclong");
 
     // Drill 1: SIGKILL a worker mid-config. The supervisor must
-    // notice the death and the campaign must still converge. A lease
-    // can appear a beat before the supervisor's next status snapshot
-    // lists the worker's pid, so poll instead of reading once.
-    let mut pids = Vec::new();
-    wait_for(
-        "status.json to expose worker pids",
-        Duration::from_secs(30),
-        || {
-            pids = std::fs::read_to_string(&paths.status)
-                .map(|s| worker_pids(&s))
-                .unwrap_or_default();
-            !pids.is_empty()
-        },
-    );
+    // notice the death and the campaign must still converge.
+    let pids = wait_for_worker_pids(&paths);
     sigkill(pids[0]);
     std::thread::sleep(Duration::from_millis(300));
 
@@ -235,7 +279,7 @@ fn sigterm_drains_to_exit_zero_and_restart_completes() {
     let root = work.join("root");
     std::fs::create_dir_all(&root).unwrap();
     let spec_path = work.join("svclong.toml");
-    std::fs::write(&spec_path, LONG_SPEC).unwrap();
+    std::fs::write(&spec_path, long_spec()).unwrap();
     let paths = ServicePaths::new(&root);
 
     let mut daemon = spawn_daemon(&root, &["--workers", "2", "--drain-deadline-s", "240"]);
@@ -286,7 +330,7 @@ fn circuit_breaker_quarantines_a_worker_killing_campaign() {
     let root = work.join("root");
     std::fs::create_dir_all(&root).unwrap();
     let spec_path = work.join("svclong.toml");
-    std::fs::write(&spec_path, LONG_SPEC).unwrap();
+    std::fs::write(&spec_path, long_spec()).unwrap();
     let paths = ServicePaths::new(&root);
 
     // kill-limit 1: the first worker death trips the breaker. (The
@@ -296,9 +340,7 @@ fn circuit_breaker_quarantines_a_worker_killing_campaign() {
     let mut daemon = spawn_daemon(&root, &["--workers", "1", "--worker-kill-limit", "1"]);
     let id = submit(&root, &spec_path);
     wait_for_lease(&paths, &id, "svclong");
-    let status = std::fs::read_to_string(&paths.status).unwrap();
-    let pids = worker_pids(&status);
-    assert!(!pids.is_empty(), "no worker pid in status.json:\n{status}");
+    let pids = wait_for_worker_pids(&paths);
     sigkill(pids[0]);
 
     let reason_file = paths.quarantine.join(&id).join("reason.json");
@@ -334,8 +376,8 @@ fn admission_refusals_are_machine_readable() {
     std::fs::create_dir_all(&root).unwrap();
     let spec_a = work.join("a.toml");
     let spec_b = work.join("b.toml");
-    std::fs::write(&spec_a, LONG_SPEC).unwrap();
-    std::fs::write(&spec_b, LONG_SPEC.replace("seed = 5", "seed = 6")).unwrap();
+    std::fs::write(&spec_a, long_spec()).unwrap();
+    std::fs::write(&spec_b, long_spec().replace("seed = 5", "seed = 6")).unwrap();
 
     // No daemon: submission is pure directory protocol, refusals
     // come from the same admission code the daemon runs.

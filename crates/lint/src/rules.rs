@@ -53,16 +53,10 @@ const ITER_METHODS: [&str; 6] = ["iter", "iter_mut", "keys", "values", "values_m
 /// The inventoried unsafe blocks of the workspace. `unsafe` anywhere
 /// else is a finding; an inventoried file that no longer contains
 /// `unsafe` is *also* a finding, so the inventory cannot rot.
-pub const UNSAFE_INVENTORY: [(&str, &str); 2] = [
-    (
-        "crates/bench/src/bin/qmad.rs",
-        "libc sigaction registration for SIGTERM lame-duck; async-signal-safe flag store only",
-    ),
-    (
-        "crates/bench/src/bin/bench.rs",
-        "GlobalAlloc counting allocator for the allocs/event benchmark metric",
-    ),
-];
+pub const UNSAFE_INVENTORY: [(&str, &str); 1] = [(
+    "crates/bench/src/bin/qmad.rs",
+    "libc sigaction registration for SIGTERM lame-duck; async-signal-safe flag store only",
+)];
 
 /// One unsuppressed rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,8 +125,7 @@ impl FileScope {
             || p.starts_with("src/");
         let campaign_service = p.starts_with("crates/bench/src/campaign/")
             || p.starts_with("crates/bench/src/service/");
-        let clock_allowlisted =
-            p.starts_with("crates/bench/src/bin/") || p == "crates/bench/src/timing.rs";
+        let clock_allowlisted = p.starts_with("crates/bench/src/bin/");
         let durable_impl = p == "crates/bench/src/campaign/durable.rs";
 
         s.entropy = true;

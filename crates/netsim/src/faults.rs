@@ -110,8 +110,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan. Arming an empty plan on a simulation costs
-    /// nothing per event — the bench guard holds it below 1 %.
+    /// An empty plan. Arming an empty plan on a simulation changes
+    /// no result (`world::tests::armed_empty_plan_changes_nothing`).
     pub fn new() -> Self {
         FaultPlan::default()
     }

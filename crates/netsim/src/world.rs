@@ -1147,15 +1147,15 @@ pub struct SimBuilder<M = Box<dyn MacProtocol>, U = Box<dyn UpperLayer>> {
 }
 
 /// Process-wide default for [`SimBuilder::scheduler_wheel`] — `true`
-/// unless overridden. Exists so wheel-vs-heap equivalence tests and
-/// benchmarks can flip the scheduling engine underneath code (e.g.
-/// campaign runs) that builds its simulations internally.
+/// unless overridden. Exists so wheel-vs-heap equivalence tests can
+/// flip the scheduling engine underneath code (e.g. campaign runs)
+/// that builds its simulations internally.
 static SCHEDULER_WHEEL_DEFAULT: std::sync::atomic::AtomicBool =
     std::sync::atomic::AtomicBool::new(true);
 
 /// Sets the process-wide default for the boundary-wheel scheduler
 /// (see [`SimBuilder::scheduler_wheel`]). Intended for equivalence
-/// tests and benchmarks; simulations built afterwards pick it up.
+/// tests; simulations built afterwards pick it up.
 pub fn set_default_scheduler_wheel(enabled: bool) {
     SCHEDULER_WHEEL_DEFAULT.store(enabled, std::sync::atomic::Ordering::SeqCst);
 }
@@ -1288,7 +1288,7 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
     /// ticks (default: the process-wide default, normally on).
     /// Disabling it routes every event through the binary heap —
     /// results are bit-identical either way; the flag exists for
-    /// equivalence tests and wheel-vs-heap benchmarks.
+    /// the equivalence tests.
     pub fn scheduler_wheel(mut self, on: bool) -> Self {
         self.scheduler_wheel = on;
         self
@@ -1296,7 +1296,8 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
 
     /// Arms a deterministic fault schedule (see [`crate::faults`]).
     /// The plan's events are scheduled as first-class DES events at
-    /// build time; an armed-but-empty plan costs nothing measurable.
+    /// build time; an armed-but-empty plan changes no result
+    /// (`tests::armed_empty_plan_changes_nothing`).
     pub fn fault_plan(mut self, plan: crate::faults::FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -1874,7 +1875,7 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
     }
 
     /// Total number of simulation events processed so far (the
-    /// denominator of the events/sec macro-benchmark).
+    /// numerator of events/sec throughput).
     pub fn events_processed(&self) -> u64 {
         self.sched.popped_total()
     }

@@ -33,7 +33,7 @@ pub struct HiddenNodeRun {
     pub retry_drops: u64,
     /// Queue-overflow drops at A and C.
     pub queue_drops: u64,
-    /// Simulation events processed (events/sec macro-benchmarking).
+    /// Simulation events processed.
     pub events: u64,
 }
 

@@ -138,22 +138,7 @@ pub fn build_topology(p: &ScenarioParams) -> qma_topo::Topology {
 /// simulated second (deterministic, unlike wall-clock rates — the
 /// campaign artifacts must stay byte-identical across machines).
 pub fn run_grid(p: &ScenarioParams, seed: u64) -> RunMetrics {
-    run_with_topology(&build_topology(p), p, seed)
-}
-
-/// [`run_grid`] over an already-built topology (so callers that also
-/// need the topology, like [`run_once`], build it only once).
-fn run_with_topology(topo: &qma_topo::Topology, p: &ScenarioParams, seed: u64) -> RunMetrics {
-    run_with_plan(topo, p, seed, None)
-}
-
-/// The simulation body, optionally with a fault plan armed.
-fn run_with_plan(
-    topo: &qma_topo::Topology,
-    p: &ScenarioParams,
-    seed: u64,
-    plan: Option<qma_netsim::FaultPlan>,
-) -> RunMetrics {
+    let topo = build_topology(p);
     let parents: Vec<Option<NodeId>> = topo
         .parent
         .iter()
@@ -165,7 +150,7 @@ fn run_with_plan(
     let qma_cfg = p.qma_mac_config();
     let delta = p.delta;
     let packets = p.packets;
-    let mut builder = SimBuilder::new(topo.connectivity.clone(), seed)
+    let mut sim = SimBuilder::new(topo.connectivity.clone(), seed)
         .clock(p.clock())
         // At 10k+ nodes, per-frame learner sampling would dominate
         // both time and memory; massive runs collect aggregates only.
@@ -182,11 +167,8 @@ fn run_with_plan(
                 TrafficPattern::Silent
             };
             UpperImpl::Massive(MassiveApp::new(pattern, parents[node.index()], 60))
-        });
-    if let Some(plan) = plan {
-        builder = builder.fault_plan(plan);
-    }
-    let mut sim = builder.build();
+        })
+        .build();
     sim.run_until(SimTime::from_secs(p.duration_s));
 
     let m = sim.metrics();
@@ -195,51 +177,6 @@ fn run_with_plan(
     // which depends on when the final queue drained).
     let aux = delivered as f64 / p.duration_s as f64;
     crate::params::collect_metrics(&sim, &sources, aux)
-}
-
-/// A one-line summary for the bench binary: wall-clock metrics are
-/// measured by the caller; this returns what one replication covered.
-#[derive(Debug, Clone, Copy)]
-pub struct MassiveRunSummary {
-    /// Nodes actually simulated (grid lattices round the population).
-    pub nodes: usize,
-    /// Simulated seconds covered.
-    pub sim_seconds: f64,
-    /// Simulation events processed.
-    pub events: u64,
-    /// Aggregate PDR over all sources.
-    pub pdr: f64,
-}
-
-/// Runs one replication and reports size/coverage (the bench binary
-/// wraps this in wall-clock timing to derive node-seconds/sec).
-pub fn run_once(p: &ScenarioParams, seed: u64) -> MassiveRunSummary {
-    summarize(p, seed, None)
-}
-
-/// [`run_once`] with an **armed but empty** fault plan: the fault
-/// machinery (tolerant clamping, plan cursor) is switched on yet
-/// never fires. The bench binary times this against [`run_once`] to
-/// report the subsystem's standing cost (`chaos_overhead_pct`);
-/// results are bit-identical by construction.
-pub fn run_once_armed(p: &ScenarioParams, seed: u64) -> MassiveRunSummary {
-    summarize(p, seed, Some(qma_netsim::FaultPlan::new()))
-}
-
-fn summarize(
-    p: &ScenarioParams,
-    seed: u64,
-    plan: Option<qma_netsim::FaultPlan>,
-) -> MassiveRunSummary {
-    let topo = build_topology(p);
-    let nodes = topo.len();
-    let m = run_with_plan(&topo, p, seed, plan);
-    MassiveRunSummary {
-        nodes,
-        sim_seconds: m.sim_seconds,
-        events: m.events,
-        pdr: m.pdr,
-    }
 }
 
 #[cfg(test)]
