@@ -448,6 +448,7 @@ impl World {
         frame.queue_level = self.nodes.queue[i].level_u8();
 
         let airtime = SimDuration::from_micros(self.phy.frame_airtime_us(frame.psdu_octets as u64));
+        self.medium.set_now(now.as_micros());
         let token = self.medium.start_tx_on(node.phy(), channel);
 
         // Nodes mid-CCA on this channel observe the new energy. The

@@ -257,6 +257,8 @@ struct ActiveTx {
 struct RxLock {
     token: TxToken,
     clean: bool,
+    /// The instant (µs, see [`Medium::set_now`]) the lock was taken.
+    at_us: u64,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -304,6 +306,8 @@ pub struct Medium {
     active: Vec<ActiveTx>,
     channels: u8,
     next_token: u64,
+    /// The caller's current instant in µs (see [`Medium::set_now`]).
+    now_us: u64,
     collisions: u64,
     clean_receptions: u64,
     /// Reusable buffer for [`Medium::end_tx`]'s delivered set, so the
@@ -340,6 +344,7 @@ impl Medium {
             active: Vec::new(),
             channels,
             next_token: 0,
+            now_us: 0,
             collisions: 0,
             clean_receptions: 0,
             delivered_scratch: Vec::new(),
@@ -386,6 +391,14 @@ impl Medium {
         self.conn.is_empty()
     }
 
+    /// Tells the medium the current instant (µs). Locks remember when
+    /// they were taken, so [`Medium::start_tx_on`] can tell a
+    /// reception cut short from one that began at the same instant as
+    /// the transmission. A caller that never sets it runs at 0.
+    pub fn set_now(&mut self, now_us: u64) {
+        self.now_us = now_us;
+    }
+
     /// Begins a transmission from `tx_node` on channel 0. See
     /// [`Medium::start_tx_on`].
     pub fn start_tx(&mut self, tx_node: PhyNodeId) -> TxToken {
@@ -397,7 +410,11 @@ impl Medium {
     /// returned token exactly when the frame's airtime elapses.
     ///
     /// Starting a transmission aborts any reception in progress at the
-    /// transmitter (half-duplex).
+    /// transmitter (half-duplex). A reception that began earlier ends
+    /// as a counted collision. One that began at this same instant is
+    /// dropped uncounted: which of two same-instant starts locks first
+    /// is only the caller's processing order, and the order must not
+    /// change what is counted.
     ///
     /// # Panics
     ///
@@ -414,10 +431,13 @@ impl Medium {
         self.next_token += 1;
 
         // Half-duplex: the transmitter loses anything it was receiving.
+        let now_us = self.now_us;
         let me = &mut self.receivers[tx_node.index()];
         me.transmitting = true;
-        if let Some(lock) = &mut me.lock {
-            lock.clean = false;
+        match me.lock {
+            Some(lock) if lock.at_us == now_us => me.lock = None,
+            Some(ref mut lock) => lock.clean = false,
+            None => {}
         }
 
         let degraded_any = !self.degraded.is_empty();
@@ -443,7 +463,11 @@ impl Medium {
                         && !st.jammed
                         && !(degraded_any && self.degraded.contains(&(tx_node.0, r.0)))
                     {
-                        st.lock = Some(RxLock { token, clean: true });
+                        st.lock = Some(RxLock {
+                            token,
+                            clean: true,
+                            at_us: now_us,
+                        });
                     }
                     // energy > 1 without a lock: mid-air join, the new
                     // frame is not receivable. A jammed receiver or a
@@ -702,6 +726,44 @@ mod tests {
         // A hears B's frame, but A was transmitting when it started →
         // A never locked; C locked cleanly.
         assert_eq!(m.end_tx(tb), vec![PhyNodeId(2)]);
+    }
+
+    #[test]
+    fn same_instant_half_duplex_loss_is_order_free() {
+        // 0 → 1 → 2, one-way links: frame 0→1 and 1's own frame start
+        // at one instant. Processing 0 first lets 1 lock onto it; 1
+        // first leaves 1 transmitting and unable to lock. Both orders
+        // must count the same.
+        let run = |zero_first: bool| {
+            let mut m = Medium::new(Connectivity::explicit(3, &[(0, 1), (1, 2)]));
+            m.set_now(100);
+            let (t0, t1) = if zero_first {
+                let t0 = m.start_tx(PhyNodeId(0));
+                (t0, m.start_tx(PhyNodeId(1)))
+            } else {
+                let t1 = m.start_tx(PhyNodeId(1));
+                (m.start_tx(PhyNodeId(0)), t1)
+            };
+            m.set_now(900);
+            let d0 = m.end_tx(t0).to_vec();
+            let d1 = m.end_tx(t1).to_vec();
+            (d0, d1, m.collisions(), m.clean_receptions())
+        };
+        let zero_first = run(true);
+        assert_eq!(zero_first, run(false));
+        assert_eq!(zero_first, (vec![], vec![PhyNodeId(2)], 0, 1));
+
+        // A lock taken earlier is a reception cut short: it still
+        // counts.
+        let mut m = Medium::new(Connectivity::explicit(3, &[(0, 1), (1, 2)]));
+        m.set_now(100);
+        let t0 = m.start_tx(PhyNodeId(0));
+        m.set_now(150);
+        let t1 = m.start_tx(PhyNodeId(1));
+        m.set_now(900);
+        assert_eq!(m.end_tx(t0), vec![]);
+        assert_eq!(m.end_tx(t1), vec![PhyNodeId(2)]);
+        assert_eq!((m.collisions(), m.clean_receptions()), (1, 1));
     }
 
     #[test]
