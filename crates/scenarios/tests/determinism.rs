@@ -1,19 +1,17 @@
-//! Engine-equivalence regression tests: a fixed-seed replication must
-//! produce identical `MetricsHub` counters whether
+//! Engine regression tests: a fixed-seed replication must produce
+//! identical `MetricsHub` counters whether the MAC is dispatched
+//! statically through the [`MacImpl`] enum or dynamically through its
+//! `MacImpl::Custom(Box<dyn MacProtocol>)` escape hatch (the PR 2
+//! devirtualization), and every run below must reproduce the expected
+//! digests in `tests/golden/digests.txt`.
 //!
-//! * the MAC is dispatched statically through the [`MacImpl`] enum or
-//!   dynamically through its `MacImpl::Custom(Box<dyn MacProtocol>)`
-//!   escape hatch (the PR 2 devirtualization), and
-//! * subslot ticks are scheduled through the O(1) boundary wheel or
-//!   the plain binary heap (the PR 4 slot kernel) — the wheel changes
-//!   *where events wait*, never *what the simulation computes*, and
-//! * fault plans (crash/jam/drift chaos runs) are active — fault
-//!   events are heap events, so they compose with both scheduler
-//!   engines bit-identically.
-//!
-//! (The byte-identical-campaign-CSV half of the wheel/heap guarantee
-//! lives in `crates/bench/tests/scheduler_equivalence.rs`, next to
-//! the campaign engine it exercises.)
+//! Those digests were generated by the per-tick engine, which
+//! scheduled one event per subslot tick and fired a boundary's ticks
+//! in arming order, on a boundary wheel or on the plain heap (the two
+//! agreed on every digest). The per-boundary sweep fires them in
+//! node-id order; the digests pin that the order is unobservable,
+//! also under crash, jam and drift faults. (The campaign-artifact half
+//! lives in `crates/bench/tests/engine_goldens.rs`.)
 
 use qma_des::SimDuration;
 use qma_mac::{MacImpl, QmaMac, QmaMacConfig};
@@ -21,18 +19,22 @@ use qma_net::{CollectionApp, CollectionConfig, TrafficPattern};
 use qma_netsim::{FrameClock, MacCounters, MacProtocol, NodeId, Sim, SimBuilder, UpperLayer};
 use qma_scenarios::common::collection_upper;
 
-/// Serialises the tests that flip the process-wide scheduler default
-/// (`set_default_scheduler_wheel`). The test harness runs this
-/// binary's tests on parallel threads; without the lock, one test's
-/// default could leak into another's sim builds — at best noise, at
-/// worst making an equivalence test vacuous (a wheel-vs-heap test
-/// silently comparing heap against heap).
-static EXEC_DEFAULTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+/// Expected values, one `name = <Debug of the value>` line each.
+const DIGESTS: &str = include_str!("golden/digests.txt");
 
-fn lock_exec_defaults() -> std::sync::MutexGuard<'static, ()> {
-    EXEC_DEFAULTS
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+/// Asserts that `actual`'s `Debug` rendering equals the `name` line of
+/// `tests/golden/digests.txt`. `f64` renders as its shortest exact
+/// round-trip form, so equal text means equal bits.
+fn assert_golden(name: &str, actual: &impl std::fmt::Debug) {
+    let actual = format!("{actual:?}");
+    let expected = DIGESTS
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(" = "))
+        .unwrap_or_else(|| panic!("tests/golden/digests.txt has no `{name}` line"));
+    assert_eq!(
+        actual, expected,
+        "{name} differs from tests/golden/digests.txt"
+    );
 }
 
 /// Everything a replication observes, flattened for comparison.
@@ -69,21 +71,10 @@ fn run_hidden_node<F>(seed: u64, mac_factory: F) -> Digest
 where
     F: Fn(NodeId, &FrameClock) -> MacImpl + 'static,
 {
-    run_hidden_node_sched(seed, mac_factory, true)
-}
-
-/// [`run_hidden_node`] with an explicit scheduler engine: `wheel`
-/// routes subslot ticks through the boundary calendar, `!wheel`
-/// through the binary heap.
-fn run_hidden_node_sched<F>(seed: u64, mac_factory: F, wheel: bool) -> Digest
-where
-    F: Fn(NodeId, &FrameClock) -> MacImpl + 'static,
-{
     let topo = qma_topo::hidden_node();
     let sink = NodeId(topo.sink as u32);
     let mut sim = SimBuilder::new(topo.connectivity.clone(), seed)
         .clock(FrameClock::dsme_so3())
-        .scheduler_wheel(wheel)
         .mac_factory(mac_factory)
         .upper_factory(move |node, _| {
             let pattern = if node == sink {
@@ -141,37 +132,33 @@ fn fixed_seed_replications_are_reproducible() {
 }
 
 #[test]
-fn wheel_and_heap_scheduling_produce_identical_metrics() {
+fn hidden_node_digests_match_golden() {
+    let mut runs = Vec::new();
     for seed in [2021u64, 7, 42] {
-        let wheel = run_hidden_node_sched(
-            seed,
-            |_, clock| MacImpl::qma(QmaMacConfig::default(), *clock),
-            true,
-        );
-        let heap = run_hidden_node_sched(
-            seed,
-            |_, clock| MacImpl::qma(QmaMacConfig::default(), *clock),
-            false,
-        );
-        assert_eq!(
-            wheel, heap,
-            "wheel and heap scheduling diverged for seed {seed}"
-        );
-        assert!(wheel.events > 10_000, "suspiciously few events");
+        let run = run_hidden_node(seed, |_, clock| {
+            MacImpl::qma(QmaMacConfig::default(), *clock)
+        });
+        assert_golden(&format!("hidden_node_seed_{seed}"), &run);
+        assert!(run.events > 10_000, "suspiciously few events");
+        runs.push(run);
     }
+    // Distinct seeds must give distinct runs, or matching the golden
+    // would say little.
+    assert_ne!(runs[0], runs[1]);
+    assert_ne!(runs[1], runs[2]);
 }
 
 #[test]
-fn boundary_exact_enqueue_never_double_arms_the_tick() {
-    // PR 5 satellite (re-arm double-tick): wheel ticks are
-    // uncancellable, so a node that parks its tick and is re-enqueued
-    // at the *exact* boundary it parked on must end up with exactly
-    // one live tick. The workload forces the case: an `all_cap` clock
-    // with 1 ms subslots and arrivals on exact 1 ms multiples, so
-    // every post-park enqueue lands precisely on a boundary. The
-    // assertion is behavioural (wheel ≡ heap counters plus a sane
-    // armed count) — a duplicated live tick would double-fire the
-    // boundary and desynchronise the two engines' event counts.
+fn boundary_exact_enqueue_matches_golden_and_arms_one_tick() {
+    // PR 5 satellite (re-arm double-tick): a node that parks its tick
+    // and is re-enqueued at the *exact* boundary it parked on must end
+    // up with exactly one live tick. The workload forces the case: an
+    // `all_cap` clock with 1 ms subslots and arrivals on exact 1 ms
+    // multiples, so every post-park enqueue lands precisely on a
+    // boundary, after that boundary's sweep has run. The assertion is
+    // behavioural (the golden counters plus a sane armed count) — a
+    // duplicated live tick would double-fire the boundary and move
+    // the event count.
     use qma_des::SimTime;
     use qma_netsim::{Address, Frame, TxResult, UpperCtx};
 
@@ -206,10 +193,9 @@ fn boundary_exact_enqueue_never_double_arms_the_tick() {
         fn on_tx_result(&mut self, _: &mut UpperCtx<'_>, _: &Frame, _: TxResult) {}
     }
 
-    let run = |wheel: bool| {
+    let (digest, armed) = {
         let mut sim = SimBuilder::new(qma_topo::hidden_star(2).connectivity.clone(), 17)
             .clock(FrameClock::all_cap(10, 1_000))
-            .scheduler_wheel(wheel)
             .mac_factory(|_, clock| MacImpl::qma(QmaMacConfig::default(), *clock))
             .upper_factory(|_, _| {
                 qma_scenarios::common::UpperImpl::custom(BoundaryExactSource {
@@ -222,30 +208,23 @@ fn boundary_exact_enqueue_never_double_arms_the_tick() {
         let armed = sim.world().armed_ticks();
         (digest(&sim), armed)
     };
-    let (wheel_digest, wheel_armed) = run(true);
-    let (heap_digest, heap_armed) = run(false);
-    assert_eq!(wheel_digest, heap_digest, "wheel vs heap diverged");
-    assert_eq!(wheel_armed, heap_armed);
+    assert_golden("boundary_exact_enqueue", &(&digest, armed));
+    assert!(armed <= 3, "at most one live tick per node, got {armed}");
+    assert!(digest.per_node[0].1 > 0, "no packets generated");
     assert!(
-        wheel_armed <= 3,
-        "at most one live tick per node, got {wheel_armed}"
-    );
-    assert!(wheel_digest.per_node[0].1 > 0, "no packets generated");
-    assert!(
-        wheel_digest.per_node[0].0.tx_attempts > 0,
+        digest.per_node[0].0.tx_attempts > 0,
         "source never transmitted"
     );
 }
 
 #[test]
-fn chaos_faults_are_scheduler_invariant() {
+fn chaos_fault_runs_match_golden() {
     use qma_scenarios::{run_scenario, ChaosKnobs, MassiveTopology, ScenarioKind, ScenarioParams};
 
-    let _guard = lock_exec_defaults();
     // Crash + jam + drift striking at t = 4 s. Fault events live on
-    // the binary heap whichever engine schedules the subslot ticks:
-    // every per-counter metric — including the resilience block —
-    // must be bit-identical under the wheel and under the heap.
+    // the binary heap among the boundary sweeps: every per-counter
+    // metric — including the resilience block — must match the
+    // golden.
     let p = ScenarioParams {
         topology: MassiveTopology::HiddenStar,
         nodes: 121,
@@ -263,25 +242,18 @@ fn chaos_faults_are_scheduler_invariant() {
         ..ScenarioParams::default()
     };
     p.validate_for(ScenarioKind::Chaos).unwrap();
-    let run_with = |wheel: bool| {
-        qma_netsim::set_default_scheduler_wheel(wheel);
-        let out: Vec<_> = (0..2u64)
-            .map(|rep| run_scenario(ScenarioKind::Chaos, &p, 700 + rep))
-            .collect();
-        qma_netsim::set_default_scheduler_wheel(true);
-        out
-    };
-    let wheel = run_with(true);
-    assert_eq!(wheel, run_with(false), "chaos run diverged wheel vs heap");
-    assert!(wheel.iter().all(|m| m.events > 1_000));
-    // Different seeds must still produce different runs — identical
-    // outputs across engines would be vacuous if the workload
-    // collapsed.
-    assert_ne!(wheel[0], wheel[1]);
+    let runs: Vec<_> = (0..2u64)
+        .map(|rep| run_scenario(ScenarioKind::Chaos, &p, 700 + rep))
+        .collect();
+    assert_golden("chaos_faults", &runs);
+    assert!(runs.iter().all(|m| m.events > 1_000));
+    // Different seeds must still produce different runs — matching
+    // the golden would be vacuous if the workload collapsed.
+    assert_ne!(runs[0], runs[1]);
 }
 
 #[test]
-fn massive_star_is_scheduler_invariant_serial_and_parallel() {
+fn massive_star_matches_golden_serial_and_parallel() {
     use qma_scenarios::{run_scenario, MassiveTopology, ScenarioKind, ScenarioParams};
 
     let p = ScenarioParams {
@@ -293,25 +265,14 @@ fn massive_star_is_scheduler_invariant_serial_and_parallel() {
         ..ScenarioParams::default()
     };
     p.validate_for(ScenarioKind::Massive).unwrap();
-    // The scheduler engine is selected per simulation at build time;
-    // flip the process default around each batch, holding the
-    // defaults lock so no other test builds sims meanwhile.
-    let _guard = lock_exec_defaults();
-    let run_batch = |wheel: bool| {
-        qma_netsim::set_default_scheduler_wheel(wheel);
-        let serial: Vec<_> = (0..3u64)
-            .map(|rep| run_scenario(ScenarioKind::Massive, &p, 1000 + rep))
-            .collect();
-        let parallel = qma_scenarios::common::replicate(3, |rep| {
-            run_scenario(ScenarioKind::Massive, &p, 1000 + rep)
-        });
-        qma_netsim::set_default_scheduler_wheel(true);
-        (serial, parallel)
-    };
-    let (wheel_serial, wheel_parallel) = run_batch(true);
-    let (heap_serial, heap_parallel) = run_batch(false);
-    assert_eq!(wheel_serial, wheel_parallel, "serial vs rayon diverged");
-    assert_eq!(wheel_serial, heap_serial, "wheel vs heap diverged");
-    assert_eq!(heap_serial, heap_parallel, "heap serial vs rayon diverged");
-    assert!(wheel_serial.iter().all(|m| m.events > 1_000));
+    let serial: Vec<_> = (0..3u64)
+        .map(|rep| run_scenario(ScenarioKind::Massive, &p, 1000 + rep))
+        .collect();
+    let parallel = qma_scenarios::common::replicate(3, |rep| {
+        run_scenario(ScenarioKind::Massive, &p, 1000 + rep)
+    });
+    assert_eq!(serial, parallel, "serial vs rayon diverged");
+    assert_golden("massive_star", &serial);
+    assert!(serial.iter().all(|m| m.events > 1_000));
+    assert_ne!(serial[0], serial[1]);
 }
