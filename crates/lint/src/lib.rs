@@ -1,8 +1,9 @@
 //! # qma-lint — the workspace determinism & durability contract
 //!
 //! Every headline claim this repository makes — bit-identical output
-//! across wheel vs heap scheduling, serial vs rayon replication, and
-//! crash/restart of the fabric and `qmad` — rests on coding
+//! across tick orders within a subslot boundary (the engine goldens),
+//! serial vs rayon replication, and crash/restart of the fabric and
+//! `qmad` — rests on coding
 //! disciplines that equivalence tests can only check after the fact.
 //! This crate enforces them at the diff, with a registry-free token
 //! scanner (in the spirit of the campaign TOML parser) and a

@@ -238,8 +238,9 @@ impl QmaMac {
             };
         }
 
-        // Keep ticking while anything is pending; the boundary wheel
-        // makes this O(1) in the scheduler.
+        // Keep ticking while anything is pending; a re-arm only sets
+        // this node's bit for the next boundary's sweep, so it costs
+        // no scheduler event.
         self.tick_at = next;
         self.tick_armed = true;
         let rearm = Some(next);
@@ -468,14 +469,14 @@ impl MacProtocol for QmaMac {
         // zero-delay re-arm reproduces that ordering.
         //
         // Re-arming is idempotent against the world's armed-tick bit,
-        // not just this MAC's own flag: wheel ticks are uncancellable
-        // (`EventKey::DETACHED`), so arming while a tick event is
-        // still live anywhere — e.g. after external state surgery in
-        // tests, or a future MAC variant desyncing its local flag —
-        // must not enqueue a second live tick for this node. With
-        // both bits in agreement (the invariant the normal paths
-        // maintain) the guard is redundant; it exists to make the
-        // double-tick state unreachable rather than merely unlikely.
+        // not just this MAC's own flag: arming while a tick is still
+        // live — e.g. after external state surgery in tests, or a
+        // future MAC variant desyncing its local flag — would move
+        // that tick to this boundary instead of leaving it where the
+        // tick cycle put it. With both bits in agreement (the
+        // invariant the normal paths maintain) the guard is
+        // redundant; it keeps the re-arm a no-op rather than merely
+        // a rare one.
         if !self.tick_armed && !ctx.subslot_tick_armed() {
             let now = ctx.now();
             let pos = self.clock.position(now);

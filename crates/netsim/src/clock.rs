@@ -214,9 +214,9 @@ impl FrameClock {
 
     /// The global boundary index of subslot `m` in frame
     /// `frame_index`: `frame × M + m`. Strictly monotone in the
-    /// subslot start time, which is exactly the contract
-    /// `qma_des::Scheduler::schedule_boundary` needs for its O(1)
-    /// calendar buckets.
+    /// subslot start time, so the world's per-boundary tick sweep
+    /// can tell "this boundary", "a later one" and "one already
+    /// swept" apart by comparing indices.
     pub fn boundary_index(&self, frame_index: u64, subslot: u16) -> u64 {
         frame_index * self.subslots as u64 + subslot as u64
     }

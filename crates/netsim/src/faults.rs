@@ -10,12 +10,12 @@
 //!
 //! # Determinism
 //!
-//! Fault events travel through the scheduler's binary heap, never the
-//! boundary wheel, and are scheduled in plan order at build time. The
-//! scheduler merges heap and wheel in exact `(time, seq)` order, so a
-//! fault executes at the same point of the event order under either
-//! scheduler engine — the wheel/heap bit-identity contract extends to
-//! faulted runs with no extra machinery.
+//! Fault events are ordinary heap events, scheduled in plan order at
+//! build time. A boundary's subslot ticks run inside one sweep event
+//! that holds the sequence position of the boundary's first armed
+//! tick, so a fault executes at the same point relative to the ticks
+//! as it did when every tick was its own event. The engine goldens
+//! cover faulted runs (crash, jam, drift and clock skew).
 
 use qma_des::{SimDuration, SimTime};
 

@@ -70,7 +70,6 @@ pub use frame::{Address, AppInfo, Frame, FrameKind, Payload};
 pub use metrics::{LearnerSample, MacCounters, MetricsHub, SlotAction, TxResult};
 pub use queue::TxQueue;
 pub use world::{
-    default_scheduler_wheel, set_default_scheduler_wheel, ActiveSet, MacCtx, MacProtocol,
-    MacTimerKind, NodeId, PastClampBudgetExceeded, Sim, SimBuilder, TickAction, TickPlan, TickView,
-    UpperCtx, UpperLayer,
+    ActiveSet, EngineCounts, MacCtx, MacProtocol, MacTimerKind, NodeId, PastClampBudgetExceeded,
+    Sim, SimBuilder, TickAction, TickPlan, TickView, UpperCtx, UpperLayer,
 };

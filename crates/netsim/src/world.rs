@@ -113,6 +113,11 @@ enum Event {
         gen: u64,
     },
     FrameBoundary,
+    /// Fires every subslot tick due at boundary `index` (see
+    /// [`TickSweep`]).
+    Sweep {
+        index: u64,
+    },
     /// A scheduled fault from the armed [`crate::FaultPlan`] (index
     /// into its event list). Always heap-scheduled — see
     /// [`crate::faults`].
@@ -128,9 +133,9 @@ struct CcaState {
 }
 
 /// A dense bitmap over node indices — the world's active-set
-/// representation (enabled radios, armed subslot ticks). One cache
-/// line covers 512 nodes, so sweeping the set is cache-linear even at
-/// 50 000 nodes.
+/// representation (enabled radios, armed and due subslot ticks). One
+/// cache line covers 512 nodes, so sweeping the set is cache-linear
+/// even at 50 000 nodes.
 #[derive(Debug, Clone, Default)]
 pub struct ActiveSet {
     words: Vec<u64>,
@@ -170,6 +175,23 @@ impl ActiveSet {
     /// Number of set bits, exact in O(1).
     pub fn count(&self) -> usize {
         self.count
+    }
+
+    /// Clears and returns the lowest set index in word `*word` or
+    /// later, advancing `*word` past the all-clear words it skips. A
+    /// sweep that drains the set this way sees bits cleared behind
+    /// its back, because it re-reads the current word on every call.
+    #[inline]
+    pub fn pop_lowest(&mut self, word: &mut usize) -> Option<usize> {
+        while let Some(&bits) = self.words.get(*word) {
+            if bits != 0 {
+                self.words[*word] = bits & (bits - 1);
+                self.count -= 1;
+                return Some(*word * 64 + bits.trailing_zeros() as usize);
+            }
+            *word += 1;
+        }
+        None
     }
 
     /// Iterates the set indices in ascending order — word-at-a-time,
@@ -309,9 +331,82 @@ struct Nodes {
     /// Nodes whose radio is active (started and not disabled).
     enabled: ActiveSet,
     /// Nodes with an armed subslot tick — the generalisation of the
-    /// PR 2 idle-parking flag: a parked node occupies no scheduler
-    /// entry and no bit here.
+    /// PR 2 idle-parking flag: a parked node is due at no sweep, has
+    /// no tick on the heap and no bit here.
     tick_armed: ActiveSet,
+}
+
+/// The subslot ticks of one boundary, fired by a single
+/// [`Event::Sweep`] in ascending node id instead of one scheduler
+/// event per tick.
+///
+/// At most one sweep is pending at a time. It is scheduled when the
+/// first tick is armed for its boundary, so it holds the sequence
+/// position that tick would have had, and sits where a block of
+/// per-tick events would have sat among heap events at the same
+/// instant. Only the order of the ticks inside one boundary differs
+/// from one event per tick: node-id order instead of arming order.
+/// The engine goldens (`engine_goldens.rs`, `determinism.rs`) pin that
+/// this order is unobservable. Ascending order also turns scattered
+/// reads of per-node state into streams.
+///
+/// Ticks no pending sweep can take go to the scheduler heap as
+/// ordinary [`MacTimerKind::Subslot`] timers: a skewed node's, one
+/// armed for a boundary other than the pending one, and one armed for
+/// a boundary whose sweep already ran at this instant.
+#[derive(Debug)]
+struct TickSweep {
+    /// Nodes due at the pending boundary.
+    due: ActiveSet,
+    /// The set the running sweep drains. All-clear between sweeps, so
+    /// starting a sweep is a swap with `due` and allocates nothing.
+    sweeping: ActiveSet,
+    /// Boundary index of the pending sweep.
+    pending: Option<u64>,
+    /// Ticks armed into the pending sweep, each arm counted once —
+    /// including arms a crash, a cancel or a later re-arm made stale.
+    /// The per-tick engine popped and discarded those, so they count
+    /// as events.
+    pending_ticks: u64,
+    /// Boundary index of the last sweep that ran.
+    last_swept: Option<u64>,
+    counts: EngineCounts,
+}
+
+impl TickSweep {
+    fn new(n: usize) -> Self {
+        TickSweep {
+            due: ActiveSet::new(n),
+            sweeping: ActiveSet::new(n),
+            pending: None,
+            pending_ticks: 0,
+            last_swept: None,
+            counts: EngineCounts::default(),
+        }
+    }
+
+    /// Makes node `i`'s swept tick, if it has one, a no-op: its
+    /// timer generation moved on (re-arm, cancel or crash).
+    #[inline]
+    fn invalidate(&mut self, i: usize) {
+        self.due.set(i, false);
+        self.sweeping.set(i, false);
+    }
+}
+
+/// How the engine ran subslot ticks — deterministic counts, always
+/// kept (see [`Sim::engine_counts`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineCounts {
+    /// Events the scheduler popped, sweeps included.
+    pub pops: u64,
+    /// Boundary sweeps run; each is one popped event.
+    pub sweeps: u64,
+    /// Subslot ticks the sweeps stood for, each armed tick once (see
+    /// [`Sim::events_processed`]).
+    pub swept_ticks: u64,
+    /// Subslot ticks armed through the scheduler heap instead.
+    pub heap_ticks: u64,
 }
 
 impl Nodes {
@@ -385,6 +480,7 @@ pub struct World {
     /// Metrics collection (public: scenarios read it directly).
     pub metrics: MetricsHub,
     notices: std::collections::VecDeque<Notice>,
+    sweep: TickSweep,
 }
 
 impl World {
@@ -489,6 +585,11 @@ impl World {
     /// Arms `node`'s subslot tick for the boundary `(frame_index,
     /// subslot)` at `at` — the shared backend of
     /// [`MacCtx::set_subslot_timer_at`] and the tick-plan commit.
+    /// Any earlier tick of the node becomes a no-op. The new one joins
+    /// the pending sweep if that sweep is for this boundary, or
+    /// schedules the sweep if none is pending and this boundary has
+    /// not been swept yet; otherwise it takes the heap (see
+    /// [`TickSweep`]).
     fn arm_subslot_tick(
         &mut self,
         node: NodeId,
@@ -502,20 +603,33 @@ impl World {
         *gen_slot += 1;
         let gen = *gen_slot;
         self.nodes.tick_armed.set(i, true);
-        let event = Event::MacTimer {
-            node,
-            kind: MacTimerKind::Subslot,
-            gen,
-        };
-        if self.nodes.skew_any && self.nodes.skew_us[i] != 0 {
-            // A skewed node's tick leaves the boundary grid, so it
-            // goes straight to the heap — bucket times in the wheel
-            // stay canonical.
-            sched.schedule_at(self.skewed_time(i, at), event);
-            return;
+        let sweep = &mut self.sweep;
+        sweep.invalidate(i);
+        let skewed = self.nodes.skew_any && self.nodes.skew_us[i] != 0;
+        if !skewed {
+            let index = self.clock.boundary_index(frame_index, subslot);
+            let joins = sweep.pending == Some(index);
+            if joins || (sweep.pending.is_none() && sweep.last_swept.is_none_or(|l| index > l)) {
+                if !joins {
+                    sched.schedule_at(at, Event::Sweep { index });
+                    sweep.pending = Some(index);
+                }
+                sweep.due.set(i, true);
+                sweep.pending_ticks += 1;
+                return;
+            }
         }
-        let index = self.clock.boundary_index(frame_index, subslot);
-        sched.schedule_boundary(at, index, event);
+        sweep.counts.heap_ticks += 1;
+        // A skewed node's tick leaves the boundary grid.
+        let at = if skewed { self.skewed_time(i, at) } else { at };
+        sched.schedule_at(
+            at,
+            Event::MacTimer {
+                node,
+                kind: MacTimerKind::Subslot,
+                gen,
+            },
+        );
     }
 
     /// Starts a CCA for `node` — the shared backend of
@@ -844,6 +958,9 @@ impl<'a> MacCtx<'a> {
     /// the node's offset (its oscillator runs the timer).
     pub fn set_timer(&mut self, kind: MacTimerKind, delay: SimDuration) {
         let i = self.node.index();
+        if kind == MacTimerKind::Subslot {
+            self.world.sweep.invalidate(i);
+        }
         let gen_slot = &mut self.world.nodes.mac_timer_gen[i][kind.index()];
         *gen_slot += 1;
         let gen = *gen_slot;
@@ -863,22 +980,23 @@ impl<'a> MacCtx<'a> {
 
     /// Arms the [`MacTimerKind::Subslot`] timer for the subslot
     /// boundary `(frame_index, subslot)` firing at `at` — the
-    /// slot-synchronous fast path. The event goes through the
-    /// scheduler's O(1) boundary wheel (when enabled) instead of the
-    /// binary heap; delivery order is identical either way. The
-    /// armed-tick bit in the world's active set tracks the
-    /// non-parked population.
+    /// slot-synchronous fast path. The tick normally costs no
+    /// scheduler event: it sets the node's bit for that boundary's
+    /// sweep, which fires every due node in ascending id through
+    /// [`MacProtocol::on_timer`]. Ticks no sweep can take fall back
+    /// to the heap. The armed-tick bit in the world's active set
+    /// tracks the non-parked population.
     pub fn set_subslot_timer_at(&mut self, at: SimTime, frame_index: u64, subslot: u16) {
         self.world
             .arm_subslot_tick(self.node, at, frame_index, subslot, self.sched);
     }
 
     /// Is this node's subslot tick currently armed in the world's
-    /// active set? Wheel-scheduled ticks are uncancellable
-    /// ([`qma_des::EventKey::DETACHED`]), so a MAC re-arming after a
-    /// park **must** consult this bit before enqueueing another tick:
-    /// arming while the bit is set would leave two live tick events
-    /// for one node (the re-arm double-tick hazard).
+    /// active set? A MAC re-arming after a park consults this bit
+    /// before arming another tick: re-arming while a tick is live
+    /// moves the tick, and a MAC whose own flag disagreed with the
+    /// world would silently skip a boundary (the re-arm double-tick
+    /// hazard of the per-tick engine, where it fired twice).
     pub fn subslot_tick_armed(&self) -> bool {
         self.world.nodes.tick_armed.get(self.node.index())
     }
@@ -905,17 +1023,13 @@ impl<'a> MacCtx<'a> {
         }
     }
 
-    /// Records that this node parked its subslot tick (idle, nothing
-    /// armed) — clears its bit in the world's armed-tick active set.
-    /// Called from the MAC's park transition, which keeps the
-    /// bookkeeping off the per-tick hot path.
-    pub fn park_subslot_tick(&mut self) {
-        self.world.nodes.tick_armed.set(self.node.index(), false);
-    }
-
     /// Cancels a MAC timer class.
     pub fn cancel_timer(&mut self, kind: MacTimerKind) {
-        self.world.nodes.mac_timer_gen[self.node.index()][kind.index()] += 1;
+        let i = self.node.index();
+        if kind == MacTimerKind::Subslot {
+            self.world.sweep.invalidate(i);
+        }
+        self.world.nodes.mac_timer_gen[i][kind.index()] += 1;
     }
 
     /// Hands a received frame to the upper layer (after this handler
@@ -1142,28 +1256,8 @@ pub struct SimBuilder<M = Box<dyn MacProtocol>, U = Box<dyn UpperLayer>> {
     upper_factory: UpperFactory<U>,
     node_starts: BTreeMap<u32, SimTime>,
     record_learner: bool,
-    scheduler_wheel: bool,
     fault_plan: Option<crate::faults::FaultPlan>,
     past_clamp_budget: u64,
-}
-
-/// Process-wide default for [`SimBuilder::scheduler_wheel`] — `true`
-/// unless overridden. Exists so wheel-vs-heap equivalence tests can
-/// flip the scheduling engine underneath code (e.g. campaign runs)
-/// that builds its simulations internally.
-static SCHEDULER_WHEEL_DEFAULT: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(true);
-
-/// Sets the process-wide default for the boundary-wheel scheduler
-/// (see [`SimBuilder::scheduler_wheel`]). Intended for equivalence
-/// tests; simulations built afterwards pick it up.
-pub fn set_default_scheduler_wheel(enabled: bool) {
-    SCHEDULER_WHEEL_DEFAULT.store(enabled, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// The current process-wide boundary-wheel default.
-pub fn default_scheduler_wheel() -> bool {
-    SCHEDULER_WHEEL_DEFAULT.load(std::sync::atomic::Ordering::SeqCst)
 }
 
 impl SimBuilder {
@@ -1181,7 +1275,6 @@ impl SimBuilder {
             upper_factory: Box::new(|_, _| Box::new(NullUpper) as Box<dyn UpperLayer>),
             node_starts: BTreeMap::new(),
             record_learner: true,
-            scheduler_wheel: default_scheduler_wheel(),
             fault_plan: None,
             past_clamp_budget: u64::MAX,
         }
@@ -1233,7 +1326,6 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
             upper_factory: self.upper_factory,
             node_starts: self.node_starts,
             record_learner: self.record_learner,
-            scheduler_wheel: self.scheduler_wheel,
             fault_plan: self.fault_plan,
             past_clamp_budget: self.past_clamp_budget,
         }
@@ -1259,7 +1351,6 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
             upper_factory: Box::new(f),
             node_starts: self.node_starts,
             record_learner: self.record_learner,
-            scheduler_wheel: self.scheduler_wheel,
             fault_plan: self.fault_plan,
             past_clamp_budget: self.past_clamp_budget,
         }
@@ -1282,16 +1373,6 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
     /// decision.
     pub fn record_learner(mut self, on: bool) -> Self {
         self.record_learner = on;
-        self
-    }
-
-    /// Enables/disables the O(1) boundary-wheel scheduling of subslot
-    /// ticks (default: the process-wide default, normally on).
-    /// Disabling it routes every event through the binary heap —
-    /// results are bit-identical either way; the flag exists for
-    /// the equivalence tests.
-    pub fn scheduler_wheel(mut self, on: bool) -> Self {
-        self.scheduler_wheel = on;
         self
     }
 
@@ -1355,12 +1436,6 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
             .collect();
 
         let mut sched = Scheduler::new();
-        if self.scheduler_wheel {
-            // Subslot ticks are armed at most one frame ahead; two
-            // frames of boundaries comfortably cover every in-window
-            // insert (out-of-window ones fall back to the heap).
-            sched.enable_wheel(2 * (subslots as usize + 2));
-        }
         sched.schedule_at(SimTime::ZERO, Event::Start);
         // BTreeMap order: EnableNode events for nodes sharing a start
         // instant are inserted in node-id order, so heap FIFO
@@ -1394,6 +1469,7 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
                 neighbor_levels,
                 metrics: MetricsHub::new(n, if self.record_learner { subslots } else { 0 }),
                 notices: std::collections::VecDeque::new(),
+                sweep: TickSweep::new(n),
             },
             macs,
             uppers,
@@ -1516,6 +1592,7 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                 let nodes = &mut self.world.nodes;
                 nodes.enabled.set(i, false);
                 nodes.tick_armed.set(i, false);
+                self.world.sweep.invalidate(i);
                 for g in nodes.mac_timer_gen[i].iter_mut() {
                     *g += 1;
                 }
@@ -1618,6 +1695,38 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                             self.world.nodes.skew_any = true;
                         }
                         self.world.metrics.count("fault_skew_events", 1.0);
+                    }
+                }
+            }
+
+            /// Runs boundary `index`'s sweep: every due node's
+            /// [`MacTimerKind::Subslot`] timer, in ascending node id,
+            /// each followed by the notice drain `handle` runs after
+            /// an event. Ticks armed meanwhile go to the next sweep or
+            /// the heap; a due node whose tick goes stale before its
+            /// turn (a re-arm, say) is skipped, as its stale event was.
+            fn sweep(&mut self, index: u64, sched: &mut Scheduler<Event>) {
+                let sweep = &mut self.world.sweep;
+                debug_assert_eq!(sweep.pending, Some(index));
+                debug_assert_eq!(sweep.sweeping.count(), 0);
+                sweep.pending = None;
+                sweep.last_swept = Some(index);
+                sweep.counts.sweeps += 1;
+                sweep.counts.swept_ticks += std::mem::take(&mut sweep.pending_ticks);
+                std::mem::swap(&mut sweep.due, &mut sweep.sweeping);
+                let mut word = 0;
+                while let Some(i) = self.world.sweep.sweeping.pop_lowest(&mut word) {
+                    // A crash invalidates the node's swept tick.
+                    debug_assert!(self.world.nodes.enabled.get(i));
+                    let node = NodeId(i as u32);
+                    let mut ctx = MacCtx {
+                        world: self.world,
+                        sched,
+                        node,
+                    };
+                    self.macs[i].on_timer(&mut ctx, MacTimerKind::Subslot);
+                    if !self.world.notices.is_empty() {
+                        self.drain_notices(sched);
                     }
                 }
             }
@@ -1824,6 +1933,7 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                         };
                         self.macs[node.index()].on_cca_result(&mut ctx, busy);
                     }
+                    Event::Sweep { index } => self.sweep(index, sched),
                     Event::Fault { idx } => {
                         self.apply_fault(idx, sched);
                     }
@@ -1876,9 +1986,20 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
     }
 
     /// Total number of simulation events processed so far (the
-    /// numerator of events/sec throughput).
+    /// numerator of events/sec throughput). A boundary sweep counts
+    /// as the ticks it stood for, not as one event, so the count is
+    /// what one event per subslot tick would give.
     pub fn events_processed(&self) -> u64 {
-        self.sched.popped_total()
+        let c = self.engine_counts();
+        c.pops - c.sweeps + c.swept_ticks
+    }
+
+    /// How the engine ran subslot ticks so far (see [`EngineCounts`]).
+    pub fn engine_counts(&self) -> EngineCounts {
+        EngineCounts {
+            pops: self.sched.popped_total(),
+            ..self.world.sweep.counts
+        }
     }
 
     /// Past-time schedules clamped so far (clock-skew faults; see

@@ -17,9 +17,9 @@
 //! Every quantity here — cohorts, instants, measurement windows — is
 //! derived from the replication seed and stepped on fixed one-second
 //! boundaries, so a chaos replication is exactly as deterministic as
-//! an undisturbed one: bit-identical under both scheduler engines
-//! (fault events travel through the scheduler's heap, whichever
-//! engine schedules the subslot ticks).
+//! an undisturbed one: fault events travel through the scheduler's
+//! heap among the subslot-boundary sweeps, and the engine goldens pin
+//! the result.
 
 use qma_des::{SeedSequence, SimDuration, SimTime};
 use qma_net::TrafficPattern;
@@ -101,8 +101,9 @@ fn snapshot(sim: &Sim<qma_mac::MacImpl, UpperImpl>, sources: &[NodeId]) -> (f64,
     (generated as f64, delivered as f64, collisions as f64)
 }
 
-/// Runs one replication of the chaos grid point.
-pub fn run_grid(p: &ScenarioParams, seed: u64) -> RunMetrics {
+/// Builds one replication of the chaos grid point with its fault plan
+/// armed, together with its traffic sources.
+pub fn build_sim(p: &ScenarioParams, seed: u64) -> (Sim<qma_mac::MacImpl, UpperImpl>, Vec<NodeId>) {
     let topo = build_topology(p);
     let c = p.chaos;
     let plan = build_plan(&topo, &c, seed);
@@ -117,7 +118,7 @@ pub fn run_grid(p: &ScenarioParams, seed: u64) -> RunMetrics {
     let mac = p.mac;
     let qma_cfg = p.qma_mac_config();
     let delta = p.delta;
-    let mut sim = SimBuilder::new(topo.connectivity.clone(), seed)
+    let sim = SimBuilder::new(topo.connectivity.clone(), seed)
         .clock(p.clock())
         .record_learner(false)
         .fault_plan(plan)
@@ -138,6 +139,13 @@ pub fn run_grid(p: &ScenarioParams, seed: u64) -> RunMetrics {
             UpperImpl::Massive(MassiveApp::new(pattern, parents[node.index()], 60))
         })
         .build();
+    (sim, sources)
+}
+
+/// Runs one replication of the chaos grid point.
+pub fn run_grid(p: &ScenarioParams, seed: u64) -> RunMetrics {
+    let c = p.chaos;
+    let (mut sim, sources) = build_sim(p, seed);
 
     let horizon = SimTime::from_secs(p.duration_s);
     let fault_start = SimTime::from_secs(c.fault_start_s);
@@ -161,8 +169,7 @@ pub fn run_grid(p: &ScenarioParams, seed: u64) -> RunMetrics {
 
     // Post-fault: step on one-second boundaries, watching the
     // windowed PDR climb back. The stepping sequence is a pure
-    // function of the parameters, so artifacts stay byte-identical
-    // across scheduler engines.
+    // function of the parameters, so the artifacts are too.
     let mut recovery_s = None;
     let mut tail_snap = (gen1, del1);
     let mut prev = (gen1, del1);

@@ -1,6 +1,6 @@
 //! The massive-access stress scenario: 1k–50k nodes on one radio
-//! plane — the workload the slot-synchronous batched kernel (boundary
-//! wheel + SoA world) exists for.
+//! plane — the workload the slot-synchronous kernel (one tick sweep
+//! per subslot boundary over a SoA world) exists for.
 //!
 //! Two topology families, both O(E) in memory thanks to the sparse
 //! connectivity and CSR neighbour-level tables:
@@ -20,8 +20,11 @@
 //! at scale, not routing-tree congestion.
 
 use qma_des::SimTime;
+use qma_mac::MacImpl;
 use qma_net::TrafficPattern;
-use qma_netsim::{Address, AppInfo, Frame, NodeId, SimBuilder, TxResult, UpperCtx, UpperLayer};
+use qma_netsim::{
+    Address, AppInfo, Frame, NodeId, Sim, SimBuilder, TxResult, UpperCtx, UpperLayer,
+};
 
 use crate::common::UpperImpl;
 use crate::params::{MassiveTopology, RunMetrics, ScenarioParams};
@@ -138,6 +141,20 @@ pub fn build_topology(p: &ScenarioParams) -> qma_topo::Topology {
 /// simulated second (deterministic, unlike wall-clock rates — the
 /// campaign artifacts must stay byte-identical across machines).
 pub fn run_grid(p: &ScenarioParams, seed: u64) -> RunMetrics {
+    let (mut sim, sources) = build_sim(p, seed);
+    sim.run_until(SimTime::from_secs(p.duration_s));
+
+    let m = sim.metrics();
+    let delivered: u64 = sources.iter().map(|&s| m.delivered(s)).sum();
+    // Normalised by the configured horizon (not the last-event time,
+    // which depends on when the final queue drained).
+    let aux = delivered as f64 / p.duration_s as f64;
+    crate::params::collect_metrics(&sim, &sources, aux)
+}
+
+/// Builds one replication of the massive grid point, ready to run to
+/// `p.duration_s`, together with its traffic sources.
+pub fn build_sim(p: &ScenarioParams, seed: u64) -> (Sim<MacImpl, UpperImpl>, Vec<NodeId>) {
     let topo = build_topology(p);
     let parents: Vec<Option<NodeId>> = topo
         .parent
@@ -150,7 +167,7 @@ pub fn run_grid(p: &ScenarioParams, seed: u64) -> RunMetrics {
     let qma_cfg = p.qma_mac_config();
     let delta = p.delta;
     let packets = p.packets;
-    let mut sim = SimBuilder::new(topo.connectivity.clone(), seed)
+    let sim = SimBuilder::new(topo.connectivity.clone(), seed)
         .clock(p.clock())
         // At 10k+ nodes, per-frame learner sampling would dominate
         // both time and memory; massive runs collect aggregates only.
@@ -169,14 +186,7 @@ pub fn run_grid(p: &ScenarioParams, seed: u64) -> RunMetrics {
             UpperImpl::Massive(MassiveApp::new(pattern, parents[node.index()], 60))
         })
         .build();
-    sim.run_until(SimTime::from_secs(p.duration_s));
-
-    let m = sim.metrics();
-    let delivered: u64 = sources.iter().map(|&s| m.delivered(s)).sum();
-    // Normalised by the configured horizon (not the last-event time,
-    // which depends on when the final queue drained).
-    let aux = delivered as f64 / p.duration_s as f64;
-    crate::params::collect_metrics(&sim, &sources, aux)
+    (sim, sources)
 }
 
 #[cfg(test)]
