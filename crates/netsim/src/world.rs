@@ -331,8 +331,8 @@ struct Nodes {
     /// Nodes whose radio is active (started and not disabled).
     enabled: ActiveSet,
     /// Nodes with an armed subslot tick — the generalisation of the
-    /// PR 2 idle-parking flag: a parked node is due at no sweep, has
-    /// no tick on the heap and no bit here.
+    /// idle-parking flag: a parked node is due at no sweep, has no
+    /// tick on the heap and no bit here.
     tick_armed: ActiveSet,
 }
 
@@ -342,13 +342,13 @@ struct Nodes {
 ///
 /// At most one sweep is pending at a time. It is scheduled when the
 /// first tick is armed for its boundary, so it holds the sequence
-/// position that tick would have had, and sits where a block of
-/// per-tick events would have sat among heap events at the same
-/// instant. Only the order of the ticks inside one boundary differs
-/// from one event per tick: node-id order instead of arming order.
-/// The engine goldens (`engine_goldens.rs`, `determinism.rs`) pin that
-/// this order is unobservable. Ascending order also turns scattered
-/// reads of per-node state into streams.
+/// position that tick would have had among heap events at the same
+/// instant. Against one event per tick, only order at one instant
+/// differs: the ticks run in node-id order instead of arming order,
+/// all at the first tick's position. The engine goldens
+/// (`engine_goldens.rs`, `determinism.rs`) pin that this order is
+/// unobservable. Ascending order also turns scattered reads of
+/// per-node state into streams.
 ///
 /// Ticks no pending sweep can take go to the scheduler heap as
 /// ordinary [`MacTimerKind::Subslot`] timers: a skewed node's, one
@@ -993,10 +993,9 @@ impl<'a> MacCtx<'a> {
 
     /// Is this node's subslot tick currently armed in the world's
     /// active set? A MAC re-arming after a park consults this bit
-    /// before arming another tick: re-arming while a tick is live
-    /// moves the tick, and a MAC whose own flag disagreed with the
-    /// world would silently skip a boundary (the re-arm double-tick
-    /// hazard of the per-tick engine, where it fired twice).
+    /// before arming another tick: arming while a tick is live
+    /// replaces that tick, so a MAC whose own flag disagreed with the
+    /// world would move its next boundary.
     pub fn subslot_tick_armed(&self) -> bool {
         self.world.nodes.tick_armed.get(self.node.index())
     }
@@ -2375,5 +2374,13 @@ mod tests {
         s.set(63, false); // idempotent
         assert_eq!(s.count(), 4);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 64, 130, 199]);
+        // Draining pops ascending and skips a bit cleared meanwhile.
+        let mut word = 0;
+        assert_eq!(s.pop_lowest(&mut word), Some(0));
+        s.set(130, false);
+        assert_eq!(s.pop_lowest(&mut word), Some(64));
+        assert_eq!(s.pop_lowest(&mut word), Some(199));
+        assert_eq!(s.pop_lowest(&mut word), None);
+        assert_eq!(s.count(), 0);
     }
 }

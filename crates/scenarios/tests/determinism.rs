@@ -1,9 +1,9 @@
 //! Engine regression tests: a fixed-seed replication must produce
 //! identical `MetricsHub` counters whether the MAC is dispatched
 //! statically through the [`MacImpl`] enum or dynamically through its
-//! `MacImpl::Custom(Box<dyn MacProtocol>)` escape hatch (the PR 2
-//! devirtualization), and every run below must reproduce the expected
-//! digests in `tests/golden/digests.txt`.
+//! `MacImpl::Custom(Box<dyn MacProtocol>)` escape hatch, and every run
+//! below must reproduce the expected digests in
+//! `tests/golden/digests.txt`.
 //!
 //! Those digests were generated by the per-tick engine, which
 //! scheduled one event per subslot tick and fired a boundary's ticks
@@ -150,7 +150,7 @@ fn hidden_node_digests_match_golden() {
 
 #[test]
 fn boundary_exact_enqueue_matches_golden_and_arms_one_tick() {
-    // PR 5 satellite (re-arm double-tick): a node that parks its tick
+    // The re-arm double-tick case: a node that parks its tick
     // and is re-enqueued at the *exact* boundary it parked on must end
     // up with exactly one live tick. The workload forces the case: an
     // `all_cap` clock with 1 ms subslots and arrivals on exact 1 ms
