@@ -2359,6 +2359,53 @@ mod tests {
         assert_eq!(plain.events_processed(), armed.events_processed());
     }
 
+    /// Arms one subslot tick at start, which node 0 cancels at once;
+    /// node 1 re-arms once for the boundary it is ticking on.
+    struct SweepProbe;
+    impl MacProtocol for SweepProbe {
+        fn start(&mut self, ctx: &mut MacCtx<'_>) {
+            let (at, frame, subslot) = ctx.clock().next_subslot_start(ctx.now());
+            ctx.set_subslot_timer_at(at, frame, subslot);
+            if ctx.node == NodeId(0) {
+                ctx.cancel_timer(MacTimerKind::Subslot);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut MacCtx<'_>, _: MacTimerKind) {
+            let node = ctx.node;
+            ctx.metrics().count_node("ticks", node, 1.0);
+            if ctx.metrics().get_node("ticks", node) == 1.0 {
+                let now = ctx.now();
+                let pos = ctx.clock().position(now);
+                ctx.set_subslot_timer_at(now, pos.frame_index, pos.subslot.expect("a boundary"));
+            }
+        }
+        fn on_frame(&mut self, _: &mut MacCtx<'_>, _: &Frame) {}
+        fn on_tx_end(&mut self, _: &mut MacCtx<'_>) {}
+        fn on_cca_result(&mut self, _: &mut MacCtx<'_>, _: bool) {}
+        fn on_enqueue(&mut self, _: &mut MacCtx<'_>) {}
+    }
+
+    #[test]
+    fn sweep_skips_cancelled_ticks_but_counts_them() {
+        let mut sim = SimBuilder::new(Connectivity::full(2), 7)
+            .clock(FrameClock::all_cap(10, 1_000))
+            .mac_factory(|_, _| Box::new(SweepProbe))
+            .build();
+        sim.run_for(SimDuration::from_millis(5));
+        // Node 0's cancelled tick never fires; node 1's re-arm for the
+        // boundary whose sweep already ran takes the heap.
+        assert_eq!(sim.metrics().get_node("ticks", NodeId(0)), 0.0);
+        assert_eq!(sim.metrics().get_node("ticks", NodeId(1)), 2.0);
+        let c = sim.engine_counts();
+        assert_eq!(
+            (c.pops, c.sweeps, c.swept_ticks, c.heap_ticks),
+            (3, 1, 2, 1)
+        );
+        // Start, the two swept ticks (one of them stale, as its event
+        // was when every tick had one) and the heap tick.
+        assert_eq!(sim.events_processed(), 4);
+    }
+
     #[test]
     fn active_set_tracks_bits_and_iterates() {
         let mut s = ActiveSet::new(200);
