@@ -35,10 +35,35 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub mod io_fault {
     use std::path::Path;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Mutex, MutexGuard};
 
     static ARMED: AtomicBool = AtomicBool::new(false);
     static FAULT: Mutex<Option<Fault>> = Mutex::new(None);
+    static EXCLUSIVE: Mutex<()> = Mutex::new(());
+
+    /// Sole use of the hook for one test, from [`exclusive`]; dropping
+    /// it disarms the hook, also when the test panics.
+    pub struct Exclusive {
+        _guard: MutexGuard<'static, ()>,
+    }
+
+    impl Drop for Exclusive {
+        fn drop(&mut self) {
+            disarm();
+        }
+    }
+
+    /// Waits until no other test holds the hook. The hook is
+    /// process-global, so every test that arms it holds this for its
+    /// whole run: two tests arming it at once would fire, replace or
+    /// disarm each other's faults.
+    pub fn exclusive() -> Exclusive {
+        Exclusive {
+            // A test that panicked while holding the lock has already
+            // disarmed the hook through its guard's drop.
+            _guard: EXCLUSIVE.lock().unwrap_or_else(|e| e.into_inner()),
+        }
+    }
 
     struct Fault {
         /// Substring the failing path must contain.
@@ -228,6 +253,7 @@ mod tests {
 
     #[test]
     fn injected_fault_fails_matching_writes_then_disarms() {
+        let _hook = io_fault::exclusive();
         let dir = tmp_dir("fault");
         let path = dir.join("fault-target.csv");
         // One write_atomic crosses two checkpoints (write + rename):
@@ -249,6 +275,7 @@ mod tests {
 
     #[test]
     fn non_matching_paths_are_untouched_by_an_armed_fault() {
+        let _hook = io_fault::exclusive();
         let dir = tmp_dir("nomatch");
         io_fault::arm("no-such-substring-anywhere", 0, 1);
         write_atomic(&dir.join("other.csv"), "fine\n").unwrap();

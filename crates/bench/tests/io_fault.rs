@@ -5,17 +5,12 @@
 //! never leave a torn artifact under a final name.
 
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use qma_bench::campaign::durable::io_fault;
 use qma_bench::campaign::fabric::{run_fabric, FabricConfig};
 use qma_bench::campaign::spec::CampaignSpec;
 use qma_bench::service::journal::{CampaignState, Journal};
-
-/// The fault hook is process-global state; tests that arm it must
-/// not overlap.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 const SPEC: &str = r#"
 [campaign]
@@ -64,7 +59,7 @@ fn assert_no_temps(dir: &Path) {
 
 #[test]
 fn shard_write_failure_leaves_campaign_resumable_and_bytes_identical() {
-    let _guard = FAULT_LOCK.lock().unwrap();
+    let _hook = io_fault::exclusive();
     let spec = CampaignSpec::parse(SPEC).unwrap();
 
     let clean_dir = tmp_dir("shard-clean");
@@ -100,7 +95,7 @@ fn shard_write_failure_leaves_campaign_resumable_and_bytes_identical() {
 
 #[test]
 fn merge_rename_failure_leaves_no_torn_csv() {
-    let _guard = FAULT_LOCK.lock().unwrap();
+    let _hook = io_fault::exclusive();
     let spec = CampaignSpec::parse(SPEC).unwrap();
 
     // Skip the merged CSV's "write" checkpoint, fail its "rename":
@@ -127,7 +122,7 @@ fn merge_rename_failure_leaves_no_torn_csv() {
 
 #[test]
 fn journal_append_failure_keeps_journal_valid_and_replayable() {
-    let _guard = FAULT_LOCK.lock().unwrap();
+    let _hook = io_fault::exclusive();
     let dir = tmp_dir("journal");
     let path = dir.join("c.journal");
 
