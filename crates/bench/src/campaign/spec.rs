@@ -377,4 +377,75 @@ mac = ["qma", "unslotted_csma"]
             TomlValue::Array(vec![TomlValue::Str("a,b".into()), TomlValue::Int(2)])
         );
     }
+    mod never_panics {
+        //! `CampaignSpec::parse` and `expand` read operator-written
+        //! files: any text either parses or is rejected with an error,
+        //! never a panic.
+
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Parses `text` and, if that succeeds, expands it.
+        fn parse_and_expand(text: &str) {
+            if let Ok(spec) = CampaignSpec::parse(text) {
+                let _ = spec.expand();
+            }
+        }
+
+        /// Every committed `specs/*.toml`.
+        fn committed_specs() -> Vec<(String, Vec<u8>)> {
+            let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+            let mut specs: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .filter(|path| path.extension().is_some_and(|e| e == "toml"))
+                .map(|path| (path.display().to_string(), std::fs::read(&path).unwrap()))
+                .collect();
+            specs.sort();
+            specs
+        }
+
+        #[test]
+        fn committed_specs_torn_at_every_byte() {
+            let specs = committed_specs();
+            assert!(specs.len() >= 10, "specs/ lost its files: {}", specs.len());
+            for (path, bytes) in &specs {
+                let whole = String::from_utf8_lossy(bytes);
+                assert!(
+                    CampaignSpec::parse(&whole).is_ok(),
+                    "{path} must parse whole"
+                );
+                for cut in 0..=bytes.len() {
+                    parse_and_expand(&String::from_utf8_lossy(&bytes[..cut]));
+                }
+            }
+        }
+
+        /// Arbitrary text: random bytes, lossily decoded, drawn from
+        /// the spec syntax's characters half of the time.
+        fn arb_text() -> impl Strategy<Value = String> {
+            let syntax = b"[]=\"#,.-_ \n\tabcdefgimnopqrstuxyz0123456789";
+            prop_oneof![
+                prop::collection::vec(any::<u8>(), 0..256),
+                prop::collection::vec(0..syntax.len(), 0..256)
+                    .prop_map(move |ix| ix.into_iter().map(|i| syntax[i]).collect()),
+            ]
+            .prop_map(|bytes: Vec<u8>| String::from_utf8_lossy(&bytes).into_owned())
+        }
+
+        proptest! {
+            #[test]
+            fn arbitrary_text_never_panics(text in arb_text(), cut in 0usize..2048) {
+                parse_and_expand(&text);
+                // Noise alone rarely gets past the section header, so
+                // each committed spec is also torn at an arbitrary byte
+                // and continued with the noise.
+                for (_, bytes) in committed_specs() {
+                    let mut torn = bytes[..cut.min(bytes.len())].to_vec();
+                    torn.extend_from_slice(text.as_bytes());
+                    parse_and_expand(&String::from_utf8_lossy(&torn));
+                }
+            }
+        }
+    }
 }
