@@ -12,6 +12,8 @@
 //! it against the radio simulation, the abstract game in
 //! [`crate::game`] drives it directly.
 
+use std::rc::Rc;
+
 use rand::Rng;
 
 use crate::action::QmaAction;
@@ -96,7 +98,9 @@ pub struct AgentStats {
 /// The per-node QMA learning agent.
 ///
 /// Generic over the Q-value backend `Q` — `f32` by default,
-/// [`crate::Fixed16`] for the embedded/no-FPU configuration.
+/// [`crate::Fixed16`] for the embedded/no-FPU configuration. The
+/// configuration is shared, not copied: the agents of one world hold
+/// one [`QmaConfig`] (see [`QmaAgent::with_table`]).
 ///
 /// # Examples
 ///
@@ -115,7 +119,7 @@ pub struct AgentStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct QmaAgent<Q: QValue = f32> {
-    config: QmaConfig,
+    config: Rc<QmaConfig>,
     table: QTable<Q>,
     startup_remaining: u32,
     started: bool,
@@ -129,16 +133,46 @@ impl<Q: QValue> QmaAgent<Q> {
     /// QBackoff for every subslot (Algorithm 1's initialisation).
     pub fn new(config: QmaConfig) -> Self {
         let table = QTable::new(config.subslots, config.q_init);
-        let startup_remaining = config.startup_subslots;
+        Self::with_table(Rc::new(config), table)
+    }
+
+    /// Creates an agent over a shared configuration and a table of
+    /// its own, such as one of a world's [`crate::qtable::QArena`]
+    /// tables. The table should be fresh: the agent starts from its
+    /// rows as they are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table's subslot count differs from the
+    /// configuration's.
+    pub fn with_table(config: Rc<QmaConfig>, table: QTable<Q>) -> Self {
+        assert_eq!(
+            table.subslots(),
+            config.subslots,
+            "the table must have one row per configured subslot"
+        );
         QmaAgent {
+            startup_remaining: config.startup_subslots,
             config,
             table,
-            startup_remaining,
             started: false,
             pending: None,
             stats: AgentStats::default(),
             last_rho: 0.0,
         }
+    }
+
+    /// Forgets everything learned: the table's rows return to their
+    /// initial values in place, and the agent restarts with cautious
+    /// startup, no pending decision and zeroed counters — the agent
+    /// [`QmaAgent::new`] builds from the same configuration.
+    pub fn reset(&mut self) {
+        self.table.reset(self.config.q_init);
+        self.startup_remaining = self.config.startup_subslots;
+        self.started = false;
+        self.pending = None;
+        self.stats = AgentStats::default();
+        self.last_rho = 0.0;
     }
 
     /// The agent's configuration.
@@ -490,6 +524,35 @@ mod tests {
     fn policy_value_sum_starts_at_init_times_subslots() {
         let agent: QmaAgent = QmaAgent::new(QmaConfig::default());
         assert_eq!(agent.policy_value_sum(), -10.0 * 54.0);
+    }
+
+    #[test]
+    fn reset_matches_a_new_agent() {
+        let cfg = QmaConfig {
+            subslots: 4,
+            startup_subslots: 2,
+            ..QmaConfig::default()
+        };
+        let mut agent: QmaAgent = QmaAgent::new(cfg.clone());
+        let mut rng = StdRng::seed_from_u64(11);
+        for i in 0..40u16 {
+            let d = agent.decide(i % 4, 8, &mut rng);
+            let outcome = match d.action {
+                QmaAction::Backoff => ActionOutcome::Backoff { overheard: true },
+                QmaAction::Cca => ActionOutcome::CcaTx { acked: true },
+                QmaAction::Send => ActionOutcome::SendTx { acked: true },
+            };
+            agent.complete(outcome, i % 4 + 1);
+        }
+        agent.decide(0, 8, &mut rng);
+        agent.reset();
+        let fresh: QmaAgent = QmaAgent::new(cfg);
+        assert_eq!(agent.table(), fresh.table());
+        assert_eq!(agent.stats(), fresh.stats());
+        assert!(!agent.has_pending() && !agent.has_started());
+        assert_eq!(agent.last_rho(), 0.0);
+        // Cautious startup runs again.
+        assert_eq!(agent.decide(1, 8, &mut rng).kind, DecisionKind::Startup);
     }
 
     #[test]

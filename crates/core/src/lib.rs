@@ -69,6 +69,6 @@ pub mod value;
 pub use action::QmaAction;
 pub use agent::{Decision, QmaAgent, QmaConfig};
 pub use explore::ExplorationTable;
-pub use qtable::QTable;
+pub use qtable::{QArena, QTable};
 pub use reward::{ActionOutcome, RewardTable};
 pub use value::{Fixed16, QValue};

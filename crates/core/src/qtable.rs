@@ -14,6 +14,9 @@
 //! the penalty ξ eventually displace an action whose value decays
 //! below an alternative (§3.1.1).
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use crate::action::QmaAction;
 use crate::value::QValue;
 
@@ -38,12 +41,17 @@ impl Default for UpdateParams {
     }
 }
 
-/// A dense per-subslot Q-table with its policy.
+/// A dense per-subslot Q-table with its policy: a view of one table
+/// in a [`QArena`].
 ///
 /// Each subslot is one row holding its three Q-values next to its
-/// policy action (16 B for `f32`, 8 B for [`crate::Fixed16`]), and
-/// all rows live in a single allocation. An update and the decision
-/// that follows it therefore read one cache line of one block.
+/// policy action (16 B for `f32`, 8 B for [`crate::Fixed16`]). An
+/// update and the decision that follows it therefore read one row.
+/// [`QTable::new`] builds a table in an arena of its own, so its rows
+/// are contiguous; [`QArena::table`] hands out the tables of one
+/// shared, subslot-major arena. Either way the table owns its rows:
+/// no other table reads or writes them, and [`Clone`] copies them
+/// into a new one-table arena.
 ///
 /// # Examples
 ///
@@ -59,40 +67,134 @@ impl Default for UpdateParams {
 /// assert_eq!(t.q(0, QmaAction::Send), -6.0);
 /// assert_eq!(t.policy(0), QmaAction::Send);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
 pub struct QTable<Q: QValue> {
-    rows: Box<[Row<Q>]>, // one per subslot
+    rows: Rc<[Row<Q>]>,
+    /// This table's index in the arena.
+    slot: u32,
+    /// Tables in the arena: the distance between two consecutive rows
+    /// of one table.
+    stride: u32,
+    subslots: u16,
 }
 
 /// One subslot of a [`QTable`]: `Q(m, a)` for every action, indexed
-/// by [`QmaAction::index`], and the policy action π(m).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Row<Q> {
-    q: [Q; QmaAction::COUNT],
-    policy: QmaAction,
+/// by [`QmaAction::index`], and the policy action π(m). The rows of an
+/// arena are shared by its tables, so each field is a [`Cell`] that
+/// its one owning table reads and writes on its own; a row keeps the
+/// plain 16-B layout.
+#[derive(Debug, Clone, PartialEq)]
+struct Row<Q: Copy> {
+    q: [Cell<Q>; QmaAction::COUNT],
+    policy: Cell<QmaAction>,
 }
 
 impl<Q: QValue> Row<Q> {
+    /// Algorithm 1's initial row: every Q-value at `init`, QBackoff.
+    fn initial(init: Q) -> Self {
+        Row {
+            q: [Cell::new(init), Cell::new(init), Cell::new(init)],
+            policy: Cell::new(QmaAction::Backoff),
+        }
+    }
+
     /// `maxₐ Q(m, a)`, folded in table order.
     fn max(&self) -> Q {
-        let [backoff, cca, send] = self.q;
-        backoff.take_max(cca).take_max(send)
+        let [backoff, cca, send] = &self.q;
+        backoff.get().take_max(cca.get()).take_max(send.get())
     }
 
     /// Eq. 3: switch to the argmax action only if its Q-value is
     /// strictly greater than the current policy's Q-value.
-    fn refresh_policy(&mut self) {
-        let mut best = self.policy;
-        let mut best_q = self.q[best.index()];
+    fn refresh_policy(&self) {
+        let mut best = self.policy.get();
+        let mut best_q = self.q[best.index()].get();
         for a in QmaAction::ALL {
-            let q = self.q[a.index()];
+            let q = self.q[a.index()].get();
             if q > best_q {
                 best = a;
                 best_q = q;
             }
         }
-        self.policy = best;
+        self.policy.set(best);
     }
+
+    fn values(&self) -> ([Q; QmaAction::COUNT], QmaAction) {
+        (self.q.each_ref().map(Cell::get), self.policy.get())
+    }
+}
+
+/// The Q-tables of many agents in one subslot-major block: row `m`
+/// of table `t` sits at `m × tables + t`, so row `m` of every table is
+/// one contiguous run — the access shape of a boundary sweep, which
+/// visits the due nodes of one subslot in ascending id. One arena
+/// holds a world's tables; [`QArena::table`] hands each one out once.
+///
+/// # Examples
+///
+/// ```
+/// use qma_core::qtable::{QArena, UpdateParams};
+/// use qma_core::QmaAction;
+///
+/// let arena: QArena = QArena::new(3, 4, -10.0);
+/// let mut a = arena.table(0);
+/// let b = arena.table(2);
+/// let p = UpdateParams { alpha: 1.0, gamma: 1.0, xi: 2.0 };
+/// a.update(0, QmaAction::Send, 4.0, 1, &p);
+/// assert_eq!(a.policy(0), QmaAction::Send);
+/// assert_eq!(b.policy(0), QmaAction::Backoff);
+/// ```
+pub struct QArena<Q: QValue = f32> {
+    rows: Rc<[Row<Q>]>,
+    tables: u32,
+    subslots: u16,
+    /// Which tables [`QArena::table`] has handed out.
+    taken: Box<[Cell<bool>]>,
+}
+
+impl<Q: QValue> QArena<Q> {
+    /// Creates `tables` tables of `subslots` rows, every Q-value at
+    /// `init` and every policy at QBackoff (Algorithm 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tables` or `subslots` is zero, or if `tables` does
+    /// not fit in a `u32`.
+    pub fn new(tables: usize, subslots: u16, init: f32) -> Self {
+        assert!(tables > 0, "need at least one table");
+        assert!(subslots > 0, "need at least one subslot");
+        let count = u32::try_from(tables).expect("table count fits in u32");
+        QArena {
+            rows: initial_rows(tables * subslots as usize, Q::from_f32(init)),
+            tables: count,
+            subslots,
+            taken: (0..tables).map(|_| Cell::new(false)).collect(),
+        }
+    }
+
+    /// Hands out table `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range or was handed out before: two
+    /// views of one table would update each other's rows.
+    pub fn table(&self, index: usize) -> QTable<Q> {
+        let taken = self
+            .taken
+            .get(index)
+            .unwrap_or_else(|| panic!("table {index} out of range"));
+        assert!(!taken.replace(true), "table {index} was handed out before");
+        QTable {
+            rows: Rc::clone(&self.rows),
+            slot: index as u32,
+            stride: self.tables,
+            subslots: self.subslots,
+        }
+    }
+}
+
+/// `len` initial rows in one allocation.
+fn initial_rows<Q: QValue>(len: usize, init: Q) -> Rc<[Row<Q>]> {
+    (0..len).map(|_| Row::initial(init)).collect()
 }
 
 impl<Q: QValue> QTable<Q> {
@@ -105,18 +207,17 @@ impl<Q: QValue> QTable<Q> {
     /// Panics if `subslots` is zero.
     pub fn new(subslots: u16, init: f32) -> Self {
         assert!(subslots > 0, "need at least one subslot");
-        let row = Row {
-            q: [Q::from_f32(init); QmaAction::COUNT],
-            policy: QmaAction::Backoff,
-        };
         QTable {
-            rows: vec![row; subslots as usize].into_boxed_slice(),
+            rows: initial_rows(subslots as usize, Q::from_f32(init)),
+            slot: 0,
+            stride: 1,
+            subslots,
         }
     }
 
     /// Number of subslots (states).
     pub fn subslots(&self) -> u16 {
-        self.rows.len() as u16
+        self.subslots
     }
 
     /// The Q-value of `(subslot, action)`.
@@ -125,7 +226,7 @@ impl<Q: QValue> QTable<Q> {
     ///
     /// Panics if `subslot` is out of range.
     pub fn q(&self, subslot: u16, action: QmaAction) -> Q {
-        self.row(subslot).q[action.index()]
+        self.row(subslot).q[action.index()].get()
     }
 
     /// The greedy policy action for a subslot.
@@ -134,7 +235,7 @@ impl<Q: QValue> QTable<Q> {
     ///
     /// Panics if `subslot` is out of range.
     pub fn policy(&self, subslot: u16) -> QmaAction {
-        self.row(subslot).policy
+        self.row(subslot).policy.get()
     }
 
     /// `maxₐ Q(subslot, a)` — the bootstrap value of a state.
@@ -156,12 +257,13 @@ impl<Q: QValue> QTable<Q> {
         next_subslot: u16,
         params: &UpdateParams,
     ) -> Q {
-        let qmax_next = self.qmax(next_subslot % self.subslots());
-        let row = self.row_mut(subslot);
-        let q_old = row.q[action.index()];
+        let qmax_next = self.qmax(next_subslot % self.subslots);
+        let row = self.row(subslot);
+        let cell = &row.q[action.index()];
+        let q_old = cell.get();
         let target = q_old.bellman_target(reward, qmax_next, params.alpha, params.gamma);
         let new_q = q_old.penalized(params.xi).take_max(target);
-        row.q[action.index()] = new_q;
+        cell.set(new_q);
         row.refresh_policy();
         new_q
     }
@@ -169,9 +271,22 @@ impl<Q: QValue> QTable<Q> {
     /// Writes a raw Q-value (used by cautious startup's punishments
     /// and by tests), refreshing the policy.
     pub fn set_q(&mut self, subslot: u16, action: QmaAction, value: Q) {
-        let row = self.row_mut(subslot);
-        row.q[action.index()] = value;
+        let row = self.row(subslot);
+        row.q[action.index()].set(value);
         row.refresh_policy();
+    }
+
+    /// Puts every row back to its initial state: Q-values at `init`,
+    /// policy QBackoff — what [`QTable::new`] builds, in place.
+    pub fn reset(&mut self, init: f32) {
+        let init = Q::from_f32(init);
+        for m in 0..self.subslots {
+            let row = self.row(m);
+            for cell in &row.q {
+                cell.set(init);
+            }
+            row.policy.set(QmaAction::Backoff);
+        }
     }
 
     /// Σₘ Q(m, π(m)) — the "cumulative Q-value per frame" metric of
@@ -183,22 +298,53 @@ impl<Q: QValue> QTable<Q> {
 
     /// Iterates over `(subslot, policy action, Q-value)` triples.
     pub fn policy_iter(&self) -> impl Iterator<Item = (u16, QmaAction, f32)> + '_ {
-        self.rows
-            .iter()
-            .enumerate()
-            .map(|(m, row)| (m as u16, row.policy, row.q[row.policy.index()].to_f32()))
+        (0..self.subslots).map(|m| {
+            let row = self.row(m);
+            let policy = row.policy.get();
+            (m, policy, row.q[policy.index()].get().to_f32())
+        })
     }
 
+    /// Row `subslot` of this table: its `slot`-th entry of the arena's
+    /// subslot-major run. A subslot past the last lands past the end
+    /// of the arena, so the one bounds check covers it.
+    #[inline]
     fn row(&self, subslot: u16) -> &Row<Q> {
         self.rows
-            .get(subslot as usize)
+            .get(subslot as usize * self.stride as usize + self.slot as usize)
             .unwrap_or_else(|| panic!("subslot {subslot} out of range"))
     }
+}
 
-    fn row_mut(&mut self, subslot: u16) -> &mut Row<Q> {
-        self.rows
-            .get_mut(subslot as usize)
-            .unwrap_or_else(|| panic!("subslot {subslot} out of range"))
+impl<Q: QValue> Clone for QTable<Q> {
+    /// Copies the rows into a new one-table arena: a clone never
+    /// shares rows with the original.
+    fn clone(&self) -> Self {
+        QTable {
+            rows: (0..self.subslots).map(|m| self.row(m).clone()).collect(),
+            slot: 0,
+            stride: 1,
+            subslots: self.subslots,
+        }
+    }
+}
+
+impl<Q: QValue> PartialEq for QTable<Q> {
+    fn eq(&self, other: &Self) -> bool {
+        self.subslots == other.subslots && (0..self.subslots).all(|m| self.row(m) == other.row(m))
+    }
+}
+
+impl<Q: QValue> std::fmt::Debug for QTable<Q> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QTable")
+            .field(
+                "rows",
+                &(0..self.subslots)
+                    .map(|m| self.row(m).values())
+                    .collect::<Vec<_>>(),
+            )
+            .finish()
     }
 }
 

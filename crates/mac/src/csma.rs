@@ -86,7 +86,9 @@ enum Phase {
 pub struct CsmaMac {
     cfg: CsmaConfig,
     clock: FrameClock,
-    recv: ReceiverCommon,
+    /// Out of line: no timer path reads it, and a smaller MAC keeps
+    /// the world's per-node MAC array dense.
+    recv: Box<ReceiverCommon>,
     phase: Phase,
     nb: u8,
     be: u8,
@@ -99,7 +101,7 @@ impl CsmaMac {
         CsmaMac {
             cfg,
             clock,
-            recv: ReceiverCommon::new(),
+            recv: Box::new(ReceiverCommon::new()),
             phase: Phase::Idle,
             nb: 0,
             be: cfg.min_be,
@@ -128,14 +130,14 @@ impl CsmaMac {
         if !self.clock.in_cap(t) {
             return false;
         }
-        let Some(head) = ctx.queue().head() else {
+        let Some(head) = ctx.queue().head_info() else {
             return false;
         };
         let phy = ctx.phy();
         let needed = phy.cca_us()
             + phy.turnaround_us()
-            + phy.frame_airtime_us(head.frame.psdu_octets as u64)
-            + if head.frame.ack_request {
+            + phy.frame_airtime_us(head.psdu_octets as u64)
+            + if head.ack_request {
                 phy.ack_wait_us()
             } else {
                 0
@@ -267,11 +269,7 @@ impl MacProtocol for CsmaMac {
                 self.schedule_backoff(ctx);
             }
             MacTimerKind::AckTimeout if self.phase == Phase::WaitAck => {
-                let retries = {
-                    let head = ctx.queue_head_mut().expect("WaitAck without head");
-                    head.retries += 1;
-                    head.retries
-                };
+                let retries = ctx.bump_head_retries().expect("WaitAck without head");
                 if retries > self.cfg.max_retries {
                     self.complete_head(ctx, TxResult::RetryLimit);
                 } else {
@@ -320,11 +318,7 @@ impl MacProtocol for CsmaMac {
         if self.phase != Phase::TxInFlight {
             return;
         }
-        let ack_requested = ctx
-            .queue()
-            .head()
-            .map(|h| h.frame.ack_request)
-            .unwrap_or(false);
+        let ack_requested = ctx.queue().head_info().is_some_and(|h| h.ack_request);
         if ack_requested {
             self.phase = Phase::WaitAck;
             ctx.set_timer(
@@ -372,7 +366,7 @@ impl MacProtocol for CsmaMac {
         // volatile state machine still has to come back clean —
         // `start` is a no-op, so a stale `WaitAck` phase with an empty
         // queue would otherwise wedge the node forever.
-        self.recv = ReceiverCommon::new();
+        *self.recv = ReceiverCommon::new();
         self.phase = Phase::Idle;
         self.nb = 0;
         self.be = self.cfg.min_be;

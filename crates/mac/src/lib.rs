@@ -28,4 +28,4 @@ pub mod recv;
 
 pub use csma::{CsmaConfig, CsmaMac};
 pub use dispatch::MacImpl;
-pub use qma_mac::{QmaMac, QmaMacConfig};
+pub use qma_mac::{QmaMac, QmaMacConfig, QmaShared};

@@ -20,12 +20,14 @@
 //! Transactions that would not fit before the CAP end are not
 //! attempted (the node just observes, as CSMA/CA's deferral rule).
 
-use qma_core::{ActionOutcome, QmaAction, QmaAgent, QmaConfig};
+use std::rc::Rc;
+
+use qma_core::{ActionOutcome, QArena, QmaAction, QmaAgent, QmaConfig};
 use qma_des::SimDuration;
 
 use qma_netsim::{
-    Frame, FrameClock, LearnerSample, MacCtx, MacProtocol, MacTimerKind, SlotAction, TickAction,
-    TickPlan, TickView, TxResult,
+    Frame, FrameClock, LearnerSample, MacCtx, MacProtocol, MacTimerKind, NodeId, SlotAction,
+    TickAction, TickPlan, TickView, TxResult,
 };
 
 use crate::consts::MAC_MAX_FRAME_RETRIES;
@@ -67,14 +69,59 @@ enum Phase {
     WaitAck { via_cca: bool },
 }
 
+/// What the QMA nodes of one world share: one agent configuration and
+/// one subslot-major Q arena ([`QArena`]), whose table `i` belongs to
+/// node `i`. A boundary sweep then reads each subslot's rows of all
+/// nodes as one contiguous run.
+pub struct QmaShared {
+    config: Rc<QmaConfig>,
+    arena: QArena<f32>,
+    max_retries: u8,
+}
+
+impl QmaShared {
+    /// The shared state of a `nodes`-node world on `clock`; like
+    /// [`QmaMac::new`], it takes the subslot count from the clock.
+    pub fn new(cfg: &QmaMacConfig, clock: &FrameClock, nodes: usize) -> Self {
+        let config = QmaConfig {
+            subslots: clock.subslots(),
+            ..cfg.agent.clone()
+        };
+        QmaShared {
+            arena: QArena::new(nodes, config.subslots, config.q_init),
+            config: Rc::new(config),
+            max_retries: cfg.max_retries,
+        }
+    }
+
+    /// Node `node`'s MAC, over its table of the arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is outside the world or its MAC was built
+    /// before (two MACs would share one table).
+    pub fn mac(&self, node: NodeId) -> QmaMac {
+        let table = self.arena.table(node.index());
+        QmaMac::with_agent(
+            QmaAgent::with_table(Rc::clone(&self.config), table),
+            self.max_retries,
+        )
+    }
+}
+
 /// The QMA MAC protocol.
+///
+/// Holds only per-node state the subslot tick works on: the agent
+/// (a shared configuration, a view of the world's Q arena and its own
+/// counters), the phase machine and the tick cache. The frame clock is
+/// the world's, read through [`MacCtx`] and [`TickView`]; the receiver
+/// state, which no tick reads, lives out of line.
 pub struct QmaMac {
     /// N_R from [`QmaMacConfig::max_retries`]; the agent keeps the
     /// rest of the configuration.
     max_retries: u8,
-    clock: FrameClock,
     agent: QmaAgent<f32>,
-    recv: ReceiverCommon,
+    recv: Box<ReceiverCommon>,
     phase: Phase,
     overheard: bool,
     ack_in_flight: bool,
@@ -94,14 +141,19 @@ pub struct QmaMac {
 }
 
 impl QmaMac {
-    /// Creates a QMA MAC over the shared frame clock.
+    /// Creates a QMA MAC with a Q-table and configuration of its own
+    /// (see [`QmaShared`] for a world's MACs); the agent's subslot
+    /// count is the clock's.
     pub fn new(mut cfg: QmaMacConfig, clock: FrameClock) -> Self {
         cfg.agent.subslots = clock.subslots();
+        Self::with_agent(QmaAgent::new(cfg.agent), cfg.max_retries)
+    }
+
+    fn with_agent(agent: QmaAgent<f32>, max_retries: u8) -> Self {
         QmaMac {
-            max_retries: cfg.max_retries,
-            clock,
-            agent: QmaAgent::new(cfg.agent),
-            recv: ReceiverCommon::new(),
+            max_retries,
+            agent,
+            recv: Box::new(ReceiverCommon::new()),
             phase: Phase::Quiet,
             overheard: false,
             ack_in_flight: false,
@@ -123,7 +175,7 @@ impl QmaMac {
     /// The subslot index at which the node will act next — the
     /// `mₜ₊ᵢ` used to bootstrap the Q-update.
     fn next_state(&self, ctx: &MacCtx<'_>) -> u16 {
-        let (_, _, m) = self.clock.next_subslot_start(ctx.now());
+        let (_, _, m) = ctx.clock().next_subslot_start(ctx.now());
         m
     }
 
@@ -139,13 +191,13 @@ impl QmaMac {
         now: qma_des::SimTime,
         cap_end: qma_des::SimTime,
     ) -> bool {
-        let Some(head) = queue.head() else {
+        let Some(head) = queue.head_info() else {
             return false;
         };
         let needed = phy.cca_us()
             + phy.turnaround_us()
-            + phy.frame_airtime_us(head.frame.psdu_octets as u64)
-            + if head.frame.ack_request {
+            + phy.frame_airtime_us(head.psdu_octets as u64)
+            + if head.ack_request {
                 phy.ack_wait_us()
             } else {
                 0
@@ -193,6 +245,7 @@ impl QmaMac {
     /// no scheduler, no medium mutation.
     fn decide_tick(&mut self, view: &mut TickView<'_>) -> TickPlan {
         let now = view.now();
+        let clock = view.clock();
         // Hot path: the tick fires exactly at the boundary cached when
         // the timer was armed, so position and successor come from the
         // cache (pure adds/multiplies). The clock lookup remains as a
@@ -202,15 +255,11 @@ impl QmaMac {
             (
                 Some(self.tick_at.2),
                 self.tick_at.1,
-                self.clock.subslot_after(self.tick_at.1, self.tick_at.2),
+                clock.subslot_after(self.tick_at.1, self.tick_at.2),
             )
         } else {
-            let pos = self.clock.position(now);
-            (
-                pos.subslot,
-                pos.frame_index,
-                self.clock.next_subslot_start(now),
-            )
+            let pos = clock.position(now);
+            (pos.subslot, pos.frame_index, clock.next_subslot_start(now))
         };
 
         // Evaluate a pending QBackoff from the previous subslot.
@@ -271,11 +320,11 @@ impl QmaMac {
                 view.queue(),
                 view.phy(),
                 now,
-                self.clock.cap_end_of_frame(frame_index),
+                clock.cap_end_of_frame(frame_index),
             )
         } else {
-            self.clock.in_cap(now)
-                && self.tx_fits_before(view.queue(), view.phy(), now, self.clock.cap_end(now))
+            clock.in_cap(now)
+                && self.tx_fits_before(view.queue(), view.phy(), now, clock.cap_end(now))
         };
         if !fits {
             return TickPlan {
@@ -315,7 +364,7 @@ impl QmaMac {
 
 impl MacProtocol for QmaMac {
     fn start(&mut self, ctx: &mut MacCtx<'_>) {
-        let next = self.clock.next_subslot_start(ctx.now());
+        let next = ctx.clock().next_subslot_start(ctx.now());
         self.tick_at = next;
         self.tick_armed = true;
         ctx.set_subslot_timer_at(next.0, next.1, next.2);
@@ -327,11 +376,7 @@ impl MacProtocol for QmaMac {
             MacTimerKind::AckTimeout => {
                 if let Phase::WaitAck { via_cca } = self.phase {
                     self.complete_tx(ctx, via_cca, false);
-                    let retries = {
-                        let head = ctx.queue_head_mut().expect("WaitAck without head");
-                        head.retries += 1;
-                        head.retries
-                    };
+                    let retries = ctx.bump_head_retries().expect("WaitAck without head");
                     if retries > self.max_retries {
                         let dropped = ctx.pop_queue().expect("head exists");
                         ctx.notify_tx_result(dropped.frame, TxResult::RetryLimit);
@@ -401,11 +446,7 @@ impl MacProtocol for QmaMac {
         let Phase::TxInFlight { via_cca } = self.phase else {
             return;
         };
-        let head_ack = ctx
-            .queue()
-            .head()
-            .map(|h| h.frame.ack_request)
-            .unwrap_or(false);
+        let head_ack = ctx.queue().head_info().is_some_and(|h| h.ack_request);
         if head_ack {
             self.phase = Phase::WaitAck { via_cca };
             ctx.set_timer(
@@ -442,7 +483,7 @@ impl MacProtocol for QmaMac {
         // A power cycle loses everything held in RAM: receiver state
         // (pending ACK, duplicate cache), the MAC phase machine, and
         // the tick bookkeeping. `start` re-arms the tick right after.
-        self.recv = ReceiverCommon::new();
+        *self.recv = ReceiverCommon::new();
         self.phase = Phase::Quiet;
         self.overheard = false;
         self.ack_in_flight = false;
@@ -451,9 +492,9 @@ impl MacProtocol for QmaMac {
         if !persist_learning {
             // Volatile Q-table: the node re-learns from scratch —
             // the re-learning cost is what chaos scenarios measure.
-            // (The agent's `subslots` was fixed up at construction, so
-            // the rebuilt agent sees the same state space.)
-            self.agent = QmaAgent::new(self.agent.config().clone());
+            // The reset rewrites this node's own rows of the arena in
+            // place and leaves its neighbours' rows alone.
+            self.agent.reset();
         }
     }
 
@@ -479,12 +520,13 @@ impl MacProtocol for QmaMac {
         // a rare one.
         if !self.tick_armed && !ctx.subslot_tick_armed() {
             let now = ctx.now();
-            let pos = self.clock.position(now);
+            let clock = ctx.clock();
+            let pos = clock.position(now);
             let next = match pos.subslot {
-                Some(m) if self.clock.subslot_start(pos.frame_index, m) == now => {
+                Some(m) if clock.subslot_start(pos.frame_index, m) == now => {
                     (now, pos.frame_index, m)
                 }
-                _ => self.clock.next_subslot_start(now),
+                _ => clock.next_subslot_start(now),
             };
             self.tick_at = next;
             self.tick_armed = true;
@@ -500,9 +542,10 @@ impl MacProtocol for QmaMac {
     }
 
     fn policy_snapshot(&self) -> Option<Vec<SlotAction>> {
+        let table = self.agent.table();
         Some(
-            (0..self.clock.subslots())
-                .map(|m| match self.agent.table().policy(m) {
+            (0..table.subslots())
+                .map(|m| match table.policy(m) {
                     QmaAction::Backoff => SlotAction::Backoff,
                     QmaAction::Cca => SlotAction::Cca,
                     QmaAction::Send => SlotAction::Tx,
@@ -786,6 +829,56 @@ mod tests {
             persisted > wiped + 50.0,
             "persisted table should keep its learning: {persisted} vs {wiped}"
         );
+    }
+
+    #[test]
+    fn reboot_resets_only_its_own_rows_of_the_arena() {
+        use qma_core::QTable;
+        use rand::SeedableRng;
+
+        let clock = FrameClock::dsme_so3();
+        let shared = QmaShared::new(&QmaMacConfig::default(), &clock, 3);
+        let mut macs: Vec<QmaMac> = (0..3).map(|i| shared.mac(NodeId(i))).collect();
+        // Every node learns its own outcome sequence.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for (i, mac) in macs.iter_mut().enumerate() {
+            for k in 0..400u16 {
+                let m = (k * (i as u16 + 1)) % 54;
+                let d = mac.agent.decide(m, 8, &mut rng);
+                let acked = (k as usize + i) % 3 == 0;
+                let outcome = match d.action {
+                    QmaAction::Backoff => ActionOutcome::Backoff { overheard: acked },
+                    QmaAction::Cca => ActionOutcome::CcaTx { acked },
+                    QmaAction::Send => ActionOutcome::SendTx { acked },
+                };
+                mac.agent.complete(outcome, m + 1);
+            }
+        }
+        let learned: Vec<QTable<f32>> = macs.iter().map(|m| m.agent().table().clone()).collect();
+        let fresh: QTable<f32> = QTable::new(54, -10.0);
+        assert!(learned.iter().all(|t| *t != fresh), "nothing was learned");
+        assert!(learned[0] != learned[1] && learned[1] != learned[2]);
+
+        // A persisted table survives the power cycle.
+        macs[1].on_reboot(true);
+        for (mac, before) in macs.iter().zip(&learned) {
+            assert_eq!(mac.agent().table(), before);
+        }
+        // A wiped one is back at Algorithm 1's initial rows, and its
+        // neighbours' rows in the arena are untouched.
+        macs[1].on_reboot(false);
+        assert_eq!(*macs[1].agent().table(), fresh);
+        assert_eq!(macs[0].agent().table(), &learned[0]);
+        assert_eq!(macs[2].agent().table(), &learned[2]);
+        assert!(!macs[1].agent().has_started());
+    }
+
+    #[test]
+    #[should_panic(expected = "handed out before")]
+    fn a_node_gets_one_mac_per_arena() {
+        let shared = QmaShared::new(&QmaMacConfig::default(), &FrameClock::dsme_so3(), 2);
+        let _first = shared.mac(NodeId(1));
+        let _second = shared.mac(NodeId(1));
     }
 
     #[test]

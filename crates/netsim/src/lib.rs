@@ -68,7 +68,7 @@ pub use clock::FrameClock;
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use frame::{Address, AppInfo, Frame, FrameKind, Payload};
 pub use metrics::{LearnerSample, MacCounters, MetricsHub, SlotAction, TxResult};
-pub use queue::TxQueue;
+pub use queue::{HeadInfo, TxQueue};
 pub use world::{
     ActiveSet, EngineCounts, MacCtx, MacProtocol, MacTimerKind, NodeId, PastClampBudgetExceeded,
     Sim, SimBuilder, TickAction, TickPlan, TickView, UpperCtx, UpperLayer,

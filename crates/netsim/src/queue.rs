@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 
 use qma_des::SimTime;
 
-use crate::frame::Frame;
+use crate::frame::{Address, Frame};
 
 /// An entry waiting for transmission.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,7 +22,34 @@ pub struct QueuedFrame {
     pub retries: u8,
 }
 
+/// The fields of the head-of-line frame a subslot tick reads, copied
+/// out of the frame so a tick touches no queue buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeadInfo {
+    /// The head frame's destination.
+    pub dst: Address,
+    /// The head frame's PSDU length in octets.
+    pub psdu_octets: u16,
+    /// Whether the head frame requests an acknowledgement.
+    pub ack_request: bool,
+}
+
+impl HeadInfo {
+    fn of(frame: &Frame) -> Self {
+        HeadInfo {
+            dst: frame.dst,
+            psdu_octets: frame.psdu_octets,
+            ack_request: frame.ack_request,
+        }
+    }
+}
+
 /// Bounded FIFO transmit queue with drop counting.
+///
+/// The queue keeps a [`HeadInfo`] copy of the head frame next to its
+/// length, refreshed on every push and pop; the head frame itself can
+/// only have its retry count bumped in place, so the copy cannot drift
+/// from it.
 ///
 /// # Examples
 ///
@@ -40,9 +67,21 @@ pub struct QueuedFrame {
 #[derive(Debug, Clone, Default)]
 pub struct TxQueue {
     items: VecDeque<QueuedFrame>,
-    capacity: usize,
+    /// The head frame's tick fields; meaningless while empty.
+    head: HeadInfo,
+    capacity: u32,
     drops: u64,
     enqueued_total: u64,
+}
+
+impl Default for HeadInfo {
+    fn default() -> Self {
+        HeadInfo {
+            dst: Address::Broadcast,
+            psdu_octets: 0,
+            ack_request: false,
+        }
+    }
 }
 
 impl TxQueue {
@@ -50,12 +89,13 @@ impl TxQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or does not fit in a `u32`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         TxQueue {
             items: VecDeque::with_capacity(capacity),
-            capacity,
+            head: HeadInfo::default(),
+            capacity: u32::try_from(capacity).expect("queue capacity fits in u32"),
             drops: 0,
             enqueued_total: 0,
         }
@@ -64,11 +104,14 @@ impl TxQueue {
     /// Appends a frame; returns `false` (and counts a drop) when the
     /// queue is full.
     pub fn push(&mut self, frame: Frame, now: SimTime) -> bool {
-        if self.items.len() >= self.capacity {
+        if self.items.len() >= self.capacity() {
             self.drops += 1;
             return false;
         }
         self.enqueued_total += 1;
+        if self.items.is_empty() {
+            self.head = HeadInfo::of(&frame);
+        }
         self.items.push_back(QueuedFrame {
             frame,
             enqueued_at: now,
@@ -82,14 +125,28 @@ impl TxQueue {
         self.items.front()
     }
 
-    /// Mutable head-of-line entry (retry bookkeeping).
-    pub fn head_mut(&mut self) -> Option<&mut QueuedFrame> {
-        self.items.front_mut()
+    /// The head frame's tick fields, read without touching the queue
+    /// buffer.
+    #[inline]
+    pub fn head_info(&self) -> Option<HeadInfo> {
+        (!self.items.is_empty()).then_some(self.head)
+    }
+
+    /// Counts one more retransmission of the head entry and returns
+    /// its retry count.
+    pub fn bump_head_retries(&mut self) -> Option<u8> {
+        let head = self.items.front_mut()?;
+        head.retries += 1;
+        Some(head.retries)
     }
 
     /// Removes and returns the head entry.
     pub fn pop(&mut self) -> Option<QueuedFrame> {
-        self.items.pop_front()
+        let popped = self.items.pop_front();
+        if let Some(next) = self.items.front() {
+            self.head = HeadInfo::of(&next.frame);
+        }
+        popped
     }
 
     /// Number of queued frames.
@@ -104,7 +161,7 @@ impl TxQueue {
 
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.capacity as usize
     }
 
     /// Frames rejected because the queue was full.
@@ -167,9 +224,10 @@ mod tests {
     #[test]
     fn head_and_retries() {
         let mut q = TxQueue::new(2);
+        assert_eq!(q.bump_head_retries(), None);
         q.push(frame(0), SimTime::from_millis(5));
         assert_eq!(q.head().unwrap().retries, 0);
-        q.head_mut().unwrap().retries += 1;
+        assert_eq!(q.bump_head_retries(), Some(1));
         assert_eq!(q.head().unwrap().retries, 1);
         assert_eq!(q.head().unwrap().enqueued_at, SimTime::from_millis(5));
     }

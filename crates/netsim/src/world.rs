@@ -430,8 +430,8 @@ fn queue_diff_value(now: SimTime, i: usize, queue: &TxQueue, levels: &NeighborLe
     // §4.2; in multi-hop trees it directs exploration pressure
     // down the forwarding chain instead of averaging it away
     // across saturated siblings.
-    if let Some(head) = queue.head() {
-        if let crate::frame::Address::Node(dst) = head.frame.dst {
+    if let Some(head) = queue.head_info() {
+        if let crate::frame::Address::Node(dst) = head.dst {
             if let Some((level, at)) = levels.get(i, dst.0) {
                 if now.since(at) <= NEIGHBOR_LEVEL_TTL {
                     return (local - level as f64).round() as i32;
@@ -746,17 +746,17 @@ impl<'a> TickView<'a> {
     }
 
     /// The shared frame clock.
-    pub fn clock(&self) -> &FrameClock {
+    pub fn clock(&self) -> &'a FrameClock {
         self.clock
     }
 
     /// The PHY timing table.
-    pub fn phy(&self) -> &PhyTiming {
+    pub fn phy(&self) -> &'a PhyTiming {
         self.phy
     }
 
     /// The node's transmit queue (read only).
-    pub fn queue(&self) -> &TxQueue {
+    pub fn queue(&self) -> &'a TxQueue {
         self.queue
     }
 
@@ -892,14 +892,15 @@ impl<'a> MacCtx<'a> {
     }
 
     /// The transmit queue (read only; mutate through
-    /// [`MacCtx::pop_queue`] / [`MacCtx::queue_head_mut`]).
+    /// [`MacCtx::pop_queue`] / [`MacCtx::bump_head_retries`]).
     pub fn queue(&self) -> &TxQueue {
         &self.world.nodes.queue[self.node.index()]
     }
 
-    /// Mutable head entry for retry bookkeeping.
-    pub fn queue_head_mut(&mut self) -> Option<&mut crate::queue::QueuedFrame> {
-        self.world.nodes.queue[self.node.index()].head_mut()
+    /// Counts one more retransmission of the head frame and returns its
+    /// retry count (retry bookkeeping; `None` with an empty queue).
+    pub fn bump_head_retries(&mut self) -> Option<u8> {
+        self.world.nodes.queue[self.node.index()].bump_head_retries()
     }
 
     /// Pops the head frame, recording the queue-level change.

@@ -115,15 +115,16 @@ pub fn build_sim(p: &ScenarioParams, seed: u64) -> (Sim<qma_mac::MacImpl, UpperI
         .collect();
     let sources: Vec<NodeId> = topo.sources().map(|i| NodeId(i as u32)).collect();
 
-    let mac = p.mac;
-    let qma_cfg = p.qma_mac_config();
     let delta = p.delta;
     let sim = SimBuilder::new(topo.connectivity.clone(), seed)
         .clock(p.clock())
         .record_learner(false)
         .fault_plan(plan)
         .past_clamp_budget(c.clamp_budget)
-        .mac_factory(move |_, clock| mac.build_with(clock, &qma_cfg))
+        .mac_factory(
+            p.mac
+                .world_factory(&p.qma_mac_config(), p.clock(), topo.connectivity.len()),
+        )
         .upper_factory(move |node, _| {
             // Unbounded flow: recovery is only observable while
             // packets keep arriving after the fault clears.

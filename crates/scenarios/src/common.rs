@@ -2,7 +2,7 @@
 //! replication across threads.
 
 use qma_des::{SimDuration, SimTime};
-use qma_mac::{CsmaConfig, MacImpl, QmaMacConfig};
+use qma_mac::{CsmaConfig, MacImpl, QmaMacConfig, QmaShared};
 use qma_netsim::{Frame, FrameClock, NodeId, TxResult, UpperCtx, UpperLayer};
 
 /// Which channel-access scheme a scenario runs — the three columns of
@@ -65,6 +65,32 @@ impl MacKind {
             MacKind::Qma => MacImpl::qma(qma_cfg.clone(), *clock),
             MacKind::SlottedCsma => MacImpl::csma(CsmaConfig::slotted(), *clock),
             MacKind::UnslottedCsma => MacImpl::csma(CsmaConfig::unslotted(), *clock),
+        }
+    }
+
+    /// The MAC factory of a `nodes`-node world on `clock`, for
+    /// `SimBuilder::mac_factory`. QMA nodes share one configuration
+    /// and one subslot-major Q arena ([`QmaShared`]), each with a
+    /// table of its own, so they learn exactly as MACs built one by
+    /// one with [`MacKind::build_with`]; CSMA nodes are built as by
+    /// `build_with`.
+    pub fn world_factory(
+        self,
+        qma_cfg: &QmaMacConfig,
+        clock: FrameClock,
+        nodes: usize,
+    ) -> impl Fn(NodeId, &FrameClock) -> MacImpl + 'static {
+        let qma = (self == MacKind::Qma).then(|| QmaShared::new(qma_cfg, &clock, nodes));
+        let csma = match self {
+            MacKind::SlottedCsma => CsmaConfig::slotted(),
+            _ => CsmaConfig::unslotted(),
+        };
+        move |node, node_clock| {
+            assert_eq!(*node_clock, clock, "the world runs on another clock");
+            match &qma {
+                Some(shared) => MacImpl::Qma(shared.mac(node)),
+                None => MacImpl::csma(csma, clock),
+            }
         }
     }
 }

@@ -163,8 +163,6 @@ pub fn build_sim(p: &ScenarioParams, seed: u64) -> (Sim<MacImpl, UpperImpl>, Vec
         .collect();
     let sources: Vec<NodeId> = topo.sources().map(|i| NodeId(i as u32)).collect();
 
-    let mac = p.mac;
-    let qma_cfg = p.qma_mac_config();
     let delta = p.delta;
     let packets = p.packets;
     let sim = SimBuilder::new(topo.connectivity.clone(), seed)
@@ -172,7 +170,10 @@ pub fn build_sim(p: &ScenarioParams, seed: u64) -> (Sim<MacImpl, UpperImpl>, Vec
         // At 10k+ nodes, per-frame learner sampling would dominate
         // both time and memory; massive runs collect aggregates only.
         .record_learner(false)
-        .mac_factory(move |_, clock| mac.build_with(clock, &qma_cfg))
+        .mac_factory(
+            p.mac
+                .world_factory(&p.qma_mac_config(), p.clock(), topo.connectivity.len()),
+        )
         .upper_factory(move |node, _| {
             let pattern = if parents[node.index()].is_some() {
                 TrafficPattern::Poisson {

@@ -451,12 +451,13 @@ pub fn star_sim_builder(
     let topo = qma_topo::hidden_star(p.nodes - 1);
     let sink = NodeId(topo.sink as u32);
     let sources: Vec<NodeId> = topo.sources().map(|i| NodeId(i as u32)).collect();
-    let mac = p.mac;
-    let qma_cfg = p.qma_mac_config();
     let builder = SimBuilder::new(topo.connectivity.clone(), seed)
         .clock(p.clock())
         .record_learner(record_learner)
-        .mac_factory(move |_, clock| mac.build_with(clock, &qma_cfg))
+        .mac_factory(
+            p.mac
+                .world_factory(&p.qma_mac_config(), p.clock(), topo.connectivity.len()),
+        )
         .upper_factory(move |node, _| {
             let pattern = if node == sink {
                 TrafficPattern::Silent

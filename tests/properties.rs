@@ -3,12 +3,12 @@
 
 use proptest::prelude::*;
 
-use qma::core::qtable::{QTable, UpdateParams};
+use qma::core::qtable::{QArena, QTable, UpdateParams};
 use qma::core::{ActionOutcome, Fixed16, QValue, QmaAction, QmaAgent, QmaConfig};
 use qma::des::{Scheduler, SimTime};
 use qma::dsme::{GtsSlot, MsfConfig, SlotBitmap};
 use qma::markov::Matrix;
-use qma::netsim::{Frame, NodeId, TxQueue};
+use qma::netsim::{Address, Frame, HeadInfo, NodeId, TxQueue};
 use qma::phy::{Connectivity, Medium, PhyNodeId};
 
 fn arb_action() -> impl Strategy<Value = QmaAction> {
@@ -226,6 +226,72 @@ proptest! {
         }
         prop_assert_eq!(q.drops(), rejected);
         prop_assert_eq!(q.enqueued_total(), accepted);
+    }
+
+    /// The queue's inline head copy equals the head frame's fields
+    /// after any sequence of pushes (varied destinations, lengths and
+    /// ACK flags, into a full queue too), pops and retry bumps.
+    #[test]
+    fn queue_head_info_tracks_the_head_frame(
+        ops in prop::collection::vec((0u8..4, 0u32..6, 1u16..120, any::<bool>()), 0..80)
+    ) {
+        let mut q = TxQueue::new(4);
+        for (seq, (op, dst, payload, ack)) in ops.into_iter().enumerate() {
+            match op {
+                0 | 1 => {
+                    let dst = if dst == 5 { Address::Broadcast } else { NodeId(dst).into() };
+                    q.push(Frame::data(NodeId(0), dst, seq as u32, payload, ack), SimTime::ZERO);
+                }
+                2 => {
+                    q.pop();
+                }
+                _ => {
+                    q.bump_head_retries();
+                }
+            }
+            let expect = q.head().map(|h| HeadInfo {
+                dst: h.frame.dst,
+                psdu_octets: h.frame.psdu_octets,
+                ack_request: h.frame.ack_request,
+            });
+            prop_assert_eq!(q.head_info(), expect);
+        }
+    }
+
+    /// Tables of one arena behave exactly like standalone tables under
+    /// any sequence of updates and raw writes, and no table's writes
+    /// reach another table's rows.
+    #[test]
+    fn arena_tables_match_standalone_tables(
+        tables in 1usize..6,
+        ops in prop::collection::vec(
+            ((0usize..6, any::<bool>()), 0u16..5, arb_action(), -3.0f32..=4.0, 0u16..10),
+            0..150
+        )
+    ) {
+        let p = UpdateParams { alpha: 0.5, gamma: 0.9, xi: 2.0 };
+        let arena: QArena<f32> = QArena::new(tables, 5, -10.0);
+        let mut in_arena: Vec<QTable<f32>> = (0..tables).map(|t| arena.table(t)).collect();
+        let mut alone: Vec<QTable<f32>> = (0..tables).map(|_| QTable::new(5, -10.0)).collect();
+        for ((t, raw), m, a, r, next) in ops {
+            let t = t % tables;
+            if raw {
+                in_arena[t].set_q(m, a, r);
+                alone[t].set_q(m, a, r);
+            } else {
+                let got = in_arena[t].update(m, a, r, next, &p);
+                let want = alone[t].update(m, a, r, next, &p);
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+            for (u, (x, y)) in in_arena.iter().zip(&alone).enumerate() {
+                prop_assert_eq!(x, y, "table {} diverged after a write to table {}", u, t);
+            }
+        }
+        // A clone copies the rows: writing to it leaves the arena as
+        // it was.
+        let mut copy = in_arena[0].clone();
+        copy.set_q(0, QmaAction::Send, 100.0);
+        prop_assert_eq!(&in_arena[0], &alone[0]);
     }
 
     /// Scheduler delivers every non-cancelled event exactly once, in
