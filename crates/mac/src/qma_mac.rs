@@ -489,7 +489,12 @@ impl MacProtocol for QmaMac {
         self.ack_in_flight = false;
         self.tick_at = (qma_des::SimTime::ZERO, 0, 0);
         self.tick_armed = false;
-        if !persist_learning {
+        if persist_learning {
+            // The table survives in flash, but a decision awaiting its
+            // outcome was RAM: the transaction it belongs to died with
+            // the power, and the next tick must be free to decide.
+            self.agent.abort_pending();
+        } else {
             // Volatile Q-table: the node re-learns from scratch —
             // the re-learning cost is what chaos scenarios measure.
             // The reset rewrites this node's own rows of the arena in
@@ -859,11 +864,14 @@ mod tests {
         assert!(learned.iter().all(|t| *t != fresh), "nothing was learned");
         assert!(learned[0] != learned[1] && learned[1] != learned[2]);
 
-        // A persisted table survives the power cycle.
+        // A persisted table survives the power cycle; the decision
+        // that was awaiting its outcome does not.
+        macs[1].agent.decide(0, 8, &mut rng);
         macs[1].on_reboot(true);
         for (mac, before) in macs.iter().zip(&learned) {
             assert_eq!(mac.agent().table(), before);
         }
+        assert!(!macs[1].agent().has_pending());
         // A wiped one is back at Algorithm 1's initial rows, and its
         // neighbours' rows in the arena are untouched.
         macs[1].on_reboot(false);
