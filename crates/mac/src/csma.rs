@@ -86,9 +86,7 @@ enum Phase {
 pub struct CsmaMac {
     cfg: CsmaConfig,
     clock: FrameClock,
-    /// Out of line: no timer path reads it, and a smaller MAC keeps
-    /// the world's per-node MAC array dense.
-    recv: Box<ReceiverCommon>,
+    recv: ReceiverCommon,
     phase: Phase,
     nb: u8,
     be: u8,
@@ -101,7 +99,7 @@ impl CsmaMac {
         CsmaMac {
             cfg,
             clock,
-            recv: Box::new(ReceiverCommon::new()),
+            recv: ReceiverCommon::new(),
             phase: Phase::Idle,
             nb: 0,
             be: cfg.min_be,
@@ -366,7 +364,7 @@ impl MacProtocol for CsmaMac {
         // volatile state machine still has to come back clean —
         // `start` is a no-op, so a stale `WaitAck` phase with an empty
         // queue would otherwise wedge the node forever.
-        *self.recv = ReceiverCommon::new();
+        self.recv = ReceiverCommon::new();
         self.phase = Phase::Idle;
         self.nb = 0;
         self.be = self.cfg.min_be;

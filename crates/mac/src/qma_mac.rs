@@ -121,7 +121,7 @@ pub struct QmaMac {
     /// rest of the configuration.
     max_retries: u8,
     agent: QmaAgent<f32>,
-    recv: Box<ReceiverCommon>,
+    recv: ReceiverCommon,
     phase: Phase,
     overheard: bool,
     ack_in_flight: bool,
@@ -153,7 +153,7 @@ impl QmaMac {
         QmaMac {
             max_retries,
             agent,
-            recv: Box::new(ReceiverCommon::new()),
+            recv: ReceiverCommon::new(),
             phase: Phase::Quiet,
             overheard: false,
             ack_in_flight: false,
@@ -483,7 +483,7 @@ impl MacProtocol for QmaMac {
         // A power cycle loses everything held in RAM: receiver state
         // (pending ACK, duplicate cache), the MAC phase machine, and
         // the tick bookkeeping. `start` re-arms the tick right after.
-        *self.recv = ReceiverCommon::new();
+        self.recv = ReceiverCommon::new();
         self.phase = Phase::Quiet;
         self.overheard = false;
         self.ack_in_flight = false;

@@ -20,8 +20,18 @@ pub enum RxEvent {
 }
 
 /// Shared receiver state.
+///
+/// Kept out of line and built on first use: a MAC's timer paths never
+/// read it, and a node that is never addressed never needs it, so the
+/// per-node MAC stays small and a world's set-up allocates nothing for
+/// it.
 #[derive(Debug, Clone, Default)]
 pub struct ReceiverCommon {
+    state: Option<Box<RxState>>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct RxState {
     pending_ack: Option<Frame>,
     last_delivered: BTreeMap<u32, u32>,
 }
@@ -47,9 +57,10 @@ impl ReceiverCommon {
         if !frame.dst.is_for(ctx.node) {
             return RxEvent::None;
         }
+        let state = self.state.get_or_insert_default();
         // Unicast frames requesting an ACK get one after aTurnaround.
         if frame.ack_request && !frame.dst.is_broadcast() {
-            self.pending_ack = Some(Frame::ack_for(frame, ctx.node));
+            state.pending_ack = Some(Frame::ack_for(frame, ctx.node));
             ctx.set_timer(
                 MacTimerKind::Aux1,
                 SimDuration::from_micros(ctx.phy().turnaround_us()),
@@ -57,9 +68,9 @@ impl ReceiverCommon {
         }
         // Duplicate suppression: a retransmission whose ACK was lost
         // must be re-acknowledged but not re-delivered.
-        let dup = self.last_delivered.get(&frame.src.0) == Some(&frame.seq);
+        let dup = state.last_delivered.get(&frame.src.0) == Some(&frame.seq);
         if !dup {
-            self.last_delivered.insert(frame.src.0, frame.seq);
+            state.last_delivered.insert(frame.src.0, frame.seq);
             ctx.deliver_to_upper(frame.clone());
         }
         RxEvent::None
@@ -69,7 +80,7 @@ impl ReceiverCommon {
     /// acknowledgement unless this node is mid-transmission.
     /// Returns `true` if an ACK transmission was started.
     pub fn on_ack_timer(&mut self, ctx: &mut MacCtx<'_>) -> bool {
-        if let Some(ack) = self.pending_ack.take() {
+        if let Some(ack) = self.state.as_mut().and_then(|s| s.pending_ack.take()) {
             if !ctx.transmitting() {
                 ctx.start_tx(ack);
                 return true;
@@ -80,7 +91,7 @@ impl ReceiverCommon {
 
     /// Is an ACK transmission pending?
     pub fn ack_pending(&self) -> bool {
-        self.pending_ack.is_some()
+        self.state.as_ref().is_some_and(|s| s.pending_ack.is_some())
     }
 }
 
