@@ -34,6 +34,16 @@ pub struct HeadInfo {
     pub ack_request: bool,
 }
 
+impl Default for HeadInfo {
+    fn default() -> Self {
+        HeadInfo {
+            dst: Address::Broadcast,
+            psdu_octets: 0,
+            ack_request: false,
+        }
+    }
+}
+
 impl HeadInfo {
     fn of(frame: &Frame) -> Self {
         HeadInfo {
@@ -72,16 +82,6 @@ pub struct TxQueue {
     capacity: u32,
     drops: u64,
     enqueued_total: u64,
-}
-
-impl Default for HeadInfo {
-    fn default() -> Self {
-        HeadInfo {
-            dst: Address::Broadcast,
-            psdu_octets: 0,
-            ack_request: false,
-        }
-    }
 }
 
 impl TxQueue {

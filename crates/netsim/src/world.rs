@@ -751,12 +751,12 @@ impl<'a> TickView<'a> {
     }
 
     /// The PHY timing table.
-    pub fn phy(&self) -> &'a PhyTiming {
+    pub fn phy(&self) -> &PhyTiming {
         self.phy
     }
 
     /// The node's transmit queue (read only).
-    pub fn queue(&self) -> &'a TxQueue {
+    pub fn queue(&self) -> &TxQueue {
         self.queue
     }
 

@@ -80,16 +80,13 @@ impl MacKind {
         clock: FrameClock,
         nodes: usize,
     ) -> impl Fn(NodeId, &FrameClock) -> MacImpl + 'static {
-        let qma = (self == MacKind::Qma).then(|| QmaShared::new(qma_cfg, &clock, nodes));
-        let csma = match self {
-            MacKind::SlottedCsma => CsmaConfig::slotted(),
-            _ => CsmaConfig::unslotted(),
-        };
+        let qma_cfg = qma_cfg.clone();
+        let qma = (self == MacKind::Qma).then(|| QmaShared::new(&qma_cfg, &clock, nodes));
         move |node, node_clock| {
             assert_eq!(*node_clock, clock, "the world runs on another clock");
             match &qma {
                 Some(shared) => MacImpl::Qma(shared.mac(node)),
-                None => MacImpl::csma(csma, clock),
+                None => self.build_with(node_clock, &qma_cfg),
             }
         }
     }
