@@ -11,7 +11,8 @@
 //! agreed on every digest). The per-boundary sweep fires them in
 //! node-id order; the digests pin that the order is unobservable,
 //! also under crash, jam and drift faults. (The campaign-artifact half
-//! lives in `crates/bench/tests/engine_goldens.rs`.)
+//! lives in `crates/bench/tests/engine_goldens.rs`.) The `fig_*` lines
+//! pin the per-figure runners of `qma-scenarios` at small budgets.
 
 use qma_des::SimDuration;
 use qma_mac::{MacImpl, QmaMac, QmaMacConfig};
@@ -275,4 +276,116 @@ fn massive_star_matches_golden_serial_and_parallel() {
     assert_golden("massive_star", &serial);
     assert!(serial.iter().all(|m| m.events > 1_000));
     assert_ne!(serial[0], serial[1]);
+}
+
+/// A `TimeSeries` as its length plus an FNV-1a hash over the bits of
+/// every time and value, so a digest line stays short.
+fn series_digest(series: &qma_stats::TimeSeries) -> (usize, u64) {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for (t, v) in series.iter() {
+        for byte in t
+            .to_bits()
+            .to_le_bytes()
+            .into_iter()
+            .chain(v.to_bits().to_le_bytes())
+        {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    (series.len(), hash)
+}
+
+/// A subslot map as one character per subslot: `-` nothing recorded,
+/// `B` backoff, `C` CCA, `T` transmit.
+fn slot_map(map: &[Option<qma_netsim::SlotAction>]) -> String {
+    use qma_netsim::SlotAction;
+    map.iter()
+        .map(|a| match a {
+            None => '-',
+            Some(SlotAction::Backoff) => 'B',
+            Some(SlotAction::Cca) => 'C',
+            Some(SlotAction::Tx) => 'T',
+        })
+        .collect()
+}
+
+// The per-figure runners at small budgets. Each keeps its own
+// topology, seeds and builder settings, so these lines pin that
+// rewiring how a runner builds its world changes none of its numbers.
+
+#[test]
+fn hidden_node_runner_matches_golden() {
+    use qma_scenarios::{hidden_node, MacKind};
+    let runs: Vec<_> = MacKind::ALL
+        .into_iter()
+        .map(|mac| hidden_node::run_once(mac, 25.0, 40, 2021))
+        .collect();
+    assert_golden("fig_hidden_node", &runs);
+    assert!(runs.iter().all(|r| r.events > 1_000));
+}
+
+#[test]
+fn learning_runners_match_golden() {
+    use qma_scenarios::{convergence, fluctuating, slots};
+    let c = convergence::run(100.0, 130, 7);
+    assert_golden(
+        "fig_convergence",
+        &(
+            series_digest(&c.q_sum),
+            series_digest(&c.rho),
+            c.settle_time,
+        ),
+    );
+    assert!(c.q_sum.len() > 100, "no learner trace recorded");
+
+    let f = fluctuating::run(210, 11);
+    assert_golden(
+        "fig_fluctuating",
+        &(series_digest(&f.q_sum_a), series_digest(&f.q_sum_c), f.pdr),
+    );
+    assert!(!f.q_sum_c.is_empty(), "the late joiner recorded nothing");
+
+    let u = slots::run(100.0, 180, 9);
+    assert_golden(
+        "fig_slots",
+        &[&u.early_a, &u.early_c, &u.final_a, &u.final_c].map(|m| slot_map(m)),
+    );
+    assert!(slots::tx_slots(&u.final_a) > 0, "node A holds no subslot");
+}
+
+#[test]
+fn ablation_variants_match_golden() {
+    use qma_scenarios::ablation;
+    let results: Vec<_> = ablation::variants()
+        .iter()
+        .map(|v| ablation::run_variant(v, 25.0, 40, 3))
+        .collect();
+    assert_golden("fig_ablations", &results);
+    assert_eq!(results.len(), 6);
+}
+
+#[test]
+fn testbed_and_dsme_runners_match_golden() {
+    use qma_scenarios::testbed::{run_once, Testbed};
+    use qma_scenarios::{dsme_scale, MacKind};
+    for (name, testbed) in [
+        ("fig_testbed_tree", Testbed::Tree),
+        ("fig_testbed_star", Testbed::Star),
+    ] {
+        let runs: Vec<_> = [MacKind::Qma, MacKind::UnslottedCsma]
+            .into_iter()
+            .map(|mac| run_once(testbed, mac, 10.0, 30, 5))
+            .collect();
+        assert_golden(name, &runs);
+        assert!(
+            runs.iter().all(|(_, pdr, _)| *pdr > 0.0),
+            "{name}: nothing delivered"
+        );
+    }
+    let dsme: Vec<_> = MacKind::ALL
+        .into_iter()
+        .map(|mac| dsme_scale::run_once(1, mac, 60, 2))
+        .collect();
+    assert_golden("fig_dsme_one_ring", &dsme);
+    assert!(dsme.iter().all(|r| r.secondary_pdr > 0.0));
 }
