@@ -15,12 +15,10 @@
 
 use qma_core::qtable::UpdateParams;
 use qma_core::{ExplorationTable, QmaConfig, RewardTable};
-use qma_des::{SimDuration, SimTime};
-use qma_mac::{QmaMac, QmaMacConfig};
-use qma_net::{CollectionApp, CollectionConfig, TrafficPattern};
-use qma_netsim::{FrameClock, NodeId, SimBuilder};
+use qma_mac::QmaMacConfig;
 
-use crate::common::collection_upper;
+use crate::common::MacKind;
+use crate::hidden_node;
 
 /// One ablation variant.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,54 +89,18 @@ pub struct AblationResult {
     pub queue: f64,
 }
 
-/// Runs one variant in the δ-pkt/s hidden-node scenario.
+/// Runs one variant in the δ-pkt/s hidden-node scenario
+/// ([`hidden_node::run_once_with`]).
 pub fn run_variant(variant: &Variant, delta: f64, packets: u64, seed: u64) -> AblationResult {
-    let topo = qma_topo::hidden_node();
-    let sink = NodeId(topo.sink as u32);
-    let agent_cfg = variant.config.clone();
-    let mut sim = SimBuilder::new(topo.connectivity.clone(), seed)
-        .clock(FrameClock::dsme_so3())
-        .mac_factory(move |_, clock| {
-            Box::new(QmaMac::new(
-                QmaMacConfig {
-                    agent: agent_cfg.clone(),
-                    ..QmaMacConfig::default()
-                },
-                *clock,
-            ))
-        })
-        .upper_factory(move |node, _| {
-            let pattern = if node == sink {
-                TrafficPattern::Silent
-            } else {
-                TrafficPattern::Poisson {
-                    rate: delta,
-                    start: SimTime::from_secs(100),
-                    limit: Some(packets),
-                }
-            };
-            let app = CollectionApp::new(CollectionConfig {
-                pattern,
-                next_hop: (node != sink).then_some(sink),
-                sink,
-                payload_octets: 60,
-            });
-            collection_upper(app, node == sink, SimDuration::from_secs(5))
-        })
-        .build();
-    sim.run_until(SimTime::from_secs(100));
-    sim.reset_queue_accounting();
-    let traffic_end = SimTime::from_secs_f64(100.0 + packets as f64 / delta);
-    sim.run_until(SimTime::from_secs_f64(
-        100.0 + packets as f64 / delta + 30.0,
-    ));
-    let m = sim.metrics();
+    let qma_cfg = QmaMacConfig {
+        agent: variant.config.clone(),
+        ..QmaMacConfig::default()
+    };
+    let run = hidden_node::run_once_with(MacKind::Qma, &qma_cfg, delta, packets, seed);
     AblationResult {
         name: variant.name,
-        pdr: m.pdr_of([NodeId(0), NodeId(2)]).unwrap_or(0.0),
-        queue: (m.avg_queue_level_until(NodeId(0), traffic_end)
-            + m.avg_queue_level_until(NodeId(2), traffic_end))
-            / 2.0,
+        pdr: run.pdr,
+        queue: run.queue,
     }
 }
 

@@ -22,17 +22,13 @@
 //! the result.
 
 use qma_des::{SeedSequence, SimDuration, SimTime};
-use qma_net::TrafficPattern;
-use qma_netsim::{FaultPlan, NodeId, Sim, SimBuilder};
+use qma_mac::MacImpl;
+use qma_netsim::{FaultPlan, NodeId, Sim};
 use rand::Rng;
 
 use crate::common::UpperImpl;
-use crate::massive::{build_topology, MassiveApp};
+use crate::massive::{build_topology, sim_builder};
 use crate::params::{collect_metrics, ChaosKnobs, Resilience, RunMetrics, ScenarioParams};
-
-/// Instant at which sources start generating data (same as the
-/// massive scenario: no management warmup at scale).
-const TRAFFIC_START: SimTime = SimTime::from_secs(1);
 
 /// Recovery threshold: the windowed PDR must reach this fraction of
 /// the pre-fault level to count as recovered.
@@ -93,7 +89,7 @@ pub fn build_plan(topo: &qma_topo::Topology, c: &ChaosKnobs, seed: u64) -> Fault
 }
 
 /// Per-step snapshot of the counters the resilience metrics window.
-fn snapshot(sim: &Sim<qma_mac::MacImpl, UpperImpl>, sources: &[NodeId]) -> (f64, f64, f64) {
+fn snapshot(sim: &Sim<MacImpl, UpperImpl>, sources: &[NodeId]) -> (f64, f64, f64) {
     let m = sim.metrics();
     let generated: u64 = sources.iter().map(|&s| m.generated(s)).sum();
     let delivered: u64 = sources.iter().map(|&s| m.delivered(s)).sum();
@@ -102,43 +98,16 @@ fn snapshot(sim: &Sim<qma_mac::MacImpl, UpperImpl>, sources: &[NodeId]) -> (f64,
 }
 
 /// Builds one replication of the chaos grid point with its fault plan
-/// armed, together with its traffic sources.
-pub fn build_sim(p: &ScenarioParams, seed: u64) -> (Sim<qma_mac::MacImpl, UpperImpl>, Vec<NodeId>) {
+/// armed, together with its traffic sources: the massive world with
+/// an unbounded flow, since recovery is only observable while packets
+/// keep arriving after the fault clears.
+pub fn build_sim(p: &ScenarioParams, seed: u64) -> (Sim<MacImpl, UpperImpl>, Vec<NodeId>) {
     let topo = build_topology(p);
-    let c = p.chaos;
-    let plan = build_plan(&topo, &c, seed);
-
-    let parents: Vec<Option<NodeId>> = topo
-        .parent
-        .iter()
-        .map(|q| q.map(|i| NodeId(i as u32)))
-        .collect();
-    let sources: Vec<NodeId> = topo.sources().map(|i| NodeId(i as u32)).collect();
-
-    let delta = p.delta;
-    let sim = SimBuilder::new(topo.connectivity.clone(), seed)
-        .clock(p.clock())
-        .record_learner(false)
+    let plan = build_plan(&topo, &p.chaos, seed);
+    let (builder, sources) = sim_builder(p, &topo, seed, None);
+    let sim = builder
         .fault_plan(plan)
-        .past_clamp_budget(c.clamp_budget)
-        .mac_factory(
-            p.mac
-                .world_factory(&p.qma_mac_config(), p.clock(), topo.connectivity.len()),
-        )
-        .upper_factory(move |node, _| {
-            // Unbounded flow: recovery is only observable while
-            // packets keep arriving after the fault clears.
-            let pattern = if parents[node.index()].is_some() {
-                TrafficPattern::Poisson {
-                    rate: delta,
-                    start: TRAFFIC_START,
-                    limit: None,
-                }
-            } else {
-                TrafficPattern::Silent
-            };
-            UpperImpl::Massive(MassiveApp::new(pattern, parents[node.index()], 60))
-        })
+        .past_clamp_budget(p.chaos.clamp_budget)
         .build();
     (sim, sources)
 }

@@ -1,9 +1,11 @@
-//! Shared machinery: MAC selection, management background traffic,
-//! replication across threads.
+//! Shared machinery: MAC selection, the collection-traffic world,
+//! management background traffic, replication across threads.
 
 use qma_des::{SimDuration, SimTime};
 use qma_mac::{CsmaConfig, MacImpl, QmaMacConfig, QmaShared};
-use qma_netsim::{Frame, FrameClock, NodeId, TxResult, UpperCtx, UpperLayer};
+use qma_net::{CollectionApp, CollectionConfig, TrafficPattern};
+use qma_netsim::{Frame, FrameClock, NodeId, SimBuilder, TxResult, UpperCtx, UpperLayer};
+use qma_topo::Topology;
 
 /// Which channel-access scheme a scenario runs — the three columns of
 /// every comparison in the paper.
@@ -52,14 +54,10 @@ impl MacKind {
     }
 
     /// Builds the MAC instance for one node as a statically
-    /// dispatched [`MacImpl`] (no per-event vtable indirection).
-    pub fn build(self, clock: &FrameClock) -> MacImpl {
-        self.build_with(clock, &QmaMacConfig::default())
-    }
-
-    /// Like [`MacKind::build`] but with an explicit QMA configuration,
-    /// so campaign sweeps can turn the learning knobs (α, γ, ξ,
-    /// retries). CSMA variants ignore `qma_cfg`.
+    /// dispatched [`MacImpl`] (no per-event vtable indirection), with
+    /// the QMA configuration `qma_cfg` (CSMA variants ignore it).
+    /// Scenarios build a whole world's MACs with
+    /// [`MacKind::world_factory`] instead.
     pub fn build_with(self, clock: &FrameClock, qma_cfg: &QmaMacConfig) -> MacImpl {
         match self {
             MacKind::Qma => MacImpl::qma(qma_cfg.clone(), *clock),
@@ -270,6 +268,66 @@ pub fn collection_upper(
     }
 }
 
+/// The paper's management-chatter period (one frame every 5 s).
+const MGMT_PERIOD: SimDuration = SimDuration::from_secs(5);
+
+/// The world of the paper's one traffic model (§6.1–6.2): every source
+/// sends `pattern(source)` toward its parent in `topology` and chats
+/// with it every 5 s ([`collection_upper`]); the sink stays silent and
+/// only listens. The MACs come from [`MacKind::world_factory`].
+/// Returns the builder, so a runner can still set learner recording,
+/// late starts or channels.
+pub fn collection_sim(
+    topology: &Topology,
+    mac: MacKind,
+    qma_cfg: &QmaMacConfig,
+    clock: FrameClock,
+    seed: u64,
+    payload_octets: u16,
+    pattern: impl Fn(NodeId) -> TrafficPattern + 'static,
+) -> SimBuilder<MacImpl, UpperImpl> {
+    let sink = NodeId(topology.sink as u32);
+    let parents = parent_ids(topology);
+    SimBuilder::new(topology.connectivity.clone(), seed)
+        .clock(clock)
+        .mac_factory(mac.world_factory(qma_cfg, clock, topology.len()))
+        .upper_factory(move |node, _| {
+            let is_sink = node == sink;
+            let app = CollectionApp::new(CollectionConfig {
+                pattern: if is_sink {
+                    TrafficPattern::Silent
+                } else {
+                    pattern(node)
+                },
+                next_hop: parents[node.index()],
+                sink,
+                payload_octets,
+            });
+            collection_upper(app, is_sink, MGMT_PERIOD)
+        })
+}
+
+/// Poisson data at `rate` pkt/s from t = 100 s, once the management
+/// phase is over (§6.1), stopping after `limit` packets when given.
+pub fn data_after_management(rate: f64, limit: Option<u64>) -> TrafficPattern {
+    TrafficPattern::Poisson {
+        rate,
+        start: SimTime::from_secs(100),
+        limit,
+    }
+}
+
+/// Each node's parent in `topology` (`None` for the sink).
+pub fn parent_ids(topology: &Topology) -> Vec<Option<NodeId>> {
+    let id = |i: usize| NodeId(i as u32);
+    topology.parent.iter().map(|p| p.map(id)).collect()
+}
+
+/// The nodes of `topology` other than the sink, in id order.
+pub fn source_ids(topology: &Topology) -> Vec<NodeId> {
+    topology.sources().map(|i| NodeId(i as u32)).collect()
+}
+
 /// Runs `reps` independent replications of `run` (seeded 0..reps) on
 /// the rayon worker pool and collects the results in seed order, so
 /// the aggregate is identical to a serial run
@@ -302,7 +360,7 @@ mod tests {
     fn mac_kinds_build() {
         let clock = FrameClock::dsme_so3();
         for kind in MacKind::ALL {
-            let _mac = kind.build(&clock);
+            let _mac = kind.build_with(&clock, &QmaMacConfig::default());
             assert!(!kind.name().is_empty());
         }
         assert_eq!(MacKind::Qma.to_string(), "QMA");

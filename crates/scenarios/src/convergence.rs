@@ -2,12 +2,12 @@
 //! (cumulative Q-values per frame) and Fig. 11 (exploration
 //! probability ρ, rolling 10-frame average).
 
-use qma_des::{SimDuration, SimTime};
-use qma_net::{CollectionApp, CollectionConfig, TrafficPattern};
+use qma_des::SimTime;
+use qma_mac::{MacImpl, QmaMacConfig};
 use qma_netsim::{FrameClock, NodeId, SimBuilder};
 use qma_stats::TimeSeries;
 
-use crate::common::{collection_upper, MacKind};
+use crate::common::{collection_sim, data_after_management, source_ids, MacKind, UpperImpl};
 
 /// The rates plotted in Fig. 10/11.
 pub const PAPER_DELTAS: [f64; 3] = [1.0, 10.0, 100.0];
@@ -26,33 +26,25 @@ pub struct ConvergenceRun {
     pub settle_time: Option<f64>,
 }
 
+/// The Fig. 6 hidden-node world with QMA at the paper's defaults on
+/// every node and unlimited data at δ from t = 100 s — the setting of
+/// Fig. 10, 11 and 13–15.
+pub fn learning_sim(delta: f64, seed: u64) -> SimBuilder<MacImpl, UpperImpl> {
+    collection_sim(
+        &qma_topo::hidden_node(),
+        MacKind::Qma,
+        &QmaMacConfig::default(),
+        FrameClock::dsme_so3(),
+        seed,
+        60,
+        move |_| data_after_management(delta, None),
+    )
+}
+
 /// Runs QMA in the hidden-node topology at rate `delta`, recording
 /// the learning traces of node A.
 pub fn run(delta: f64, duration_s: u64, seed: u64) -> ConvergenceRun {
-    let topo = qma_topo::hidden_node();
-    let sink = NodeId(topo.sink as u32);
-    let mut sim = SimBuilder::new(topo.connectivity.clone(), seed)
-        .clock(FrameClock::dsme_so3())
-        .mac_factory(|_, clock| MacKind::Qma.build(clock))
-        .upper_factory(move |node, _| {
-            let pattern = if node == sink {
-                TrafficPattern::Silent
-            } else {
-                TrafficPattern::Poisson {
-                    rate: delta,
-                    start: SimTime::from_secs(100),
-                    limit: None,
-                }
-            };
-            let app = CollectionApp::new(CollectionConfig {
-                pattern,
-                next_hop: (node != sink).then_some(sink),
-                sink,
-                payload_octets: 60,
-            });
-            collection_upper(app, node == sink, SimDuration::from_secs(5))
-        })
-        .build();
+    let mut sim = learning_sim(delta, seed).build();
     sim.run_until(SimTime::from_secs(duration_s));
 
     let q_sum = sim.metrics().q_sum_series(NodeId(0)).clone();
@@ -73,18 +65,21 @@ pub fn run(delta: f64, duration_s: u64, seed: u64) -> ConvergenceRun {
 /// the series never settles), i.e. the Fig. 10 convergence speed as
 /// one scalar.
 pub fn run_grid(p: &crate::ScenarioParams, seed: u64) -> crate::RunMetrics {
-    let patterns = vec![
-        TrafficPattern::Poisson {
-            rate: p.delta,
-            start: SimTime::from_secs(100),
-            limit: None,
-        };
-        p.nodes - 1
-    ];
-    let (builder, sources, _sink) = crate::params::star_sim_builder(p, seed, true, patterns);
-    let mut sim = builder.build();
+    let topo = qma_topo::hidden_star(p.nodes - 1);
+    let delta = p.delta;
+    let mut sim = collection_sim(
+        &topo,
+        p.mac,
+        &p.qma_mac_config(),
+        p.clock(),
+        seed,
+        60,
+        move |_| data_after_management(delta, None),
+    )
+    .build();
     sim.run_until(SimTime::from_secs(p.duration_s));
 
+    let sources = source_ids(&topo);
     let settle = settle_time(sim.metrics().q_sum_series(sources[0])).unwrap_or(p.duration_s as f64);
     crate::params::collect_metrics(&sim, &sources, settle)
 }
@@ -185,31 +180,7 @@ mod probe {
     #[test]
     #[ignore]
     fn probe_rho_dynamics() {
-        let topo = qma_topo::hidden_node();
-        let sink = NodeId(topo.sink as u32);
-        let delta = 100.0;
-        let mut sim = SimBuilder::new(topo.connectivity.clone(), 7)
-            .clock(FrameClock::dsme_so3())
-            .mac_factory(|_, clock| MacKind::Qma.build(clock))
-            .upper_factory(move |node, _| {
-                let pattern = if node == sink {
-                    TrafficPattern::Silent
-                } else {
-                    TrafficPattern::Poisson {
-                        rate: delta,
-                        start: SimTime::from_secs(100),
-                        limit: None,
-                    }
-                };
-                let app = CollectionApp::new(CollectionConfig {
-                    pattern,
-                    next_hop: (node != sink).then_some(sink),
-                    sink,
-                    payload_octets: 60,
-                });
-                collection_upper(app, node == sink, SimDuration::from_secs(5))
-            })
-            .build();
+        let mut sim = learning_sim(100.0, 7).build();
         sim.run_until(SimTime::from_secs(200));
         let m = sim.metrics();
         let a = NodeId(0);

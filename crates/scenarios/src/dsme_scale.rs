@@ -10,11 +10,12 @@
 
 use qma_des::{SimDuration, SimTime};
 use qma_dsme::{DsmeNode, DsmeNodeConfig, MsfConfig};
+use qma_mac::QmaMacConfig;
 use qma_net::TrafficPattern;
 use qma_netsim::{FrameClock, NodeId, SimBuilder};
 use qma_stats::{mean_ci95, ConfidenceInterval};
 
-use crate::common::{replicate, MacKind};
+use crate::common::{parent_ids, replicate, source_ids, MacKind};
 
 /// The paper's network sizes (1–4 rings).
 pub const PAPER_RINGS: [usize; 4] = [1, 2, 3, 4];
@@ -60,17 +61,14 @@ pub fn run_once(rings: usize, mac: MacKind, duration_s: u64, seed: u64) -> DsmeR
     let sink = NodeId(topo.sink as u32);
     let sink_pos = topo.positions[topo.sink];
     let positions = topo.positions.clone();
-    let parents: Vec<Option<NodeId>> = topo
-        .parent
-        .iter()
-        .map(|p| p.map(|i| NodeId(i as u32)))
-        .collect();
+    let parents = parent_ids(&topo);
     let warmup = (duration_s / 5).min(200);
+    let clock = FrameClock::dsme_so3();
     let mut sim = SimBuilder::new(topo.connectivity.clone(), seed)
-        .clock(FrameClock::dsme_so3())
+        .clock(clock)
         .channels(MsfConfig::default().channels)
         .record_learner(false) // 91 nodes × long runs: skip the traces
-        .mac_factory(move |_, clock| mac.build(clock))
+        .mac_factory(mac.world_factory(&QmaMacConfig::default(), clock, topo.len()))
         .upper_factory(move |node, _| {
             let pattern = if node == sink {
                 TrafficPattern::Silent
@@ -104,7 +102,7 @@ pub fn run_once(rings: usize, mac: MacKind, duration_s: u64, seed: u64) -> DsmeR
     let sent = req_sent + resp_sent + notify_sent;
     let ok = req_ok + resp_ok + notify_ok;
     let handshakes = m.get("gts_allocated") + m.get("gts_deallocated");
-    let origins: Vec<NodeId> = topo.sources().map(|i| NodeId(i as u32)).collect();
+    let origins = source_ids(&topo);
     DsmeRun {
         secondary_pdr: if sent > 0.0 { ok / sent } else { 0.0 },
         gts_request_success: if req_sent > 0.0 {
@@ -217,7 +215,6 @@ mod tests {
 #[cfg(test)]
 mod probe {
     use super::*;
-    use qma_netsim::NodeId;
 
     #[test]
     #[ignore]
@@ -226,39 +223,37 @@ mod probe {
         let sink = NodeId(topo.sink as u32);
         let sink_pos = topo.positions[topo.sink];
         let positions = topo.positions.clone();
-        let parents: Vec<Option<NodeId>> = topo
-            .parent
-            .iter()
-            .map(|p| p.map(|i| NodeId(i as u32)))
-            .collect();
-        let mut sim = qma_netsim::SimBuilder::new(topo.connectivity.clone(), 13)
-            .clock(qma_netsim::FrameClock::dsme_so3())
-            .channels(qma_dsme::MsfConfig::default().channels)
-            .mac_factory(move |_, clock| MacKind::Qma.build(clock))
+        let parents = parent_ids(&topo);
+        let clock = FrameClock::dsme_so3();
+        let qma = MacKind::Qma.world_factory(&QmaMacConfig::default(), clock, topo.len());
+        let mut sim = SimBuilder::new(topo.connectivity.clone(), 13)
+            .clock(clock)
+            .channels(MsfConfig::default().channels)
+            .mac_factory(qma)
             .upper_factory(move |node, _| {
                 let pattern = if node == sink {
-                    qma_net::TrafficPattern::Silent
+                    TrafficPattern::Silent
                 } else {
-                    qma_net::TrafficPattern::Alternating {
+                    TrafficPattern::Alternating {
                         rates: (1.0, 10.0),
-                        period: qma_des::SimDuration::from_secs(5),
-                        start: qma_des::SimTime::from_secs(20),
+                        period: SimDuration::from_secs(5),
+                        start: SimTime::from_secs(20),
                         limit: None,
                     }
                 };
-                let cfg = qma_dsme::DsmeNodeConfig::paper(
+                let cfg = DsmeNodeConfig::paper(
                     pattern,
                     sink,
                     sink_pos,
                     positions[node.index()],
                     parents[node.index()],
                 );
-                Box::new(qma_dsme::DsmeNode::new(node, cfg))
+                Box::new(DsmeNode::new(node, cfg))
             })
             .build();
-        sim.run_until(qma_des::SimTime::from_secs(250));
+        sim.run_until(SimTime::from_secs(250));
         let m = sim.metrics();
-        let origins: Vec<NodeId> = topo.sources().map(|i| NodeId(i as u32)).collect();
+        let origins = source_ids(&topo);
         println!(
             "gts_allocated={} dealloc={} conflicts={}",
             m.get("gts_allocated"),

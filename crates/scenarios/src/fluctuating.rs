@@ -6,11 +6,14 @@
 //! the traffic switches.
 
 use qma_des::{SimDuration, SimTime};
-use qma_net::{CollectionApp, CollectionConfig, TrafficPattern};
-use qma_netsim::{FrameClock, NodeId, SimBuilder};
+use qma_mac::{MacImpl, QmaMacConfig};
+use qma_net::TrafficPattern;
+use qma_netsim::{FrameClock, NodeId, Sim};
 use qma_stats::TimeSeries;
+use qma_topo::Topology;
 
-use crate::common::{collection_upper, MacKind};
+use crate::common::{collection_sim, data_after_management, source_ids, MacKind, UpperImpl};
+use crate::params::{collect_metrics, RunMetrics, ScenarioParams};
 
 /// Result of the fluctuating-traffic run.
 #[derive(Debug, Clone)]
@@ -27,44 +30,22 @@ pub struct FluctuatingRun {
 /// shows 1400 s).
 pub fn run(duration_s: u64, seed: u64) -> FluctuatingRun {
     let topo = qma_topo::hidden_node();
-    let sink = NodeId(topo.sink as u32);
-    let mut sim = SimBuilder::new(topo.connectivity.clone(), seed)
-        .clock(FrameClock::dsme_so3())
-        .mac_factory(|_, clock| MacKind::Qma.build(clock))
-        .upper_factory(move |node, _| {
-            let pattern = match node.0 {
-                0 => TrafficPattern::Alternating {
-                    rates: (10.0, 100.0),
-                    period: SimDuration::from_secs(100),
-                    start: SimTime::ZERO,
-                    limit: None,
-                },
-                2 => TrafficPattern::Poisson {
-                    rate: 25.0,
-                    start: SimTime::from_secs(100), // C joins 100 s later
-                    limit: None,
-                },
-                _ => TrafficPattern::Silent,
-            };
-            let app = CollectionApp::new(CollectionConfig {
-                pattern,
-                next_hop: (node != sink).then_some(sink),
-                sink,
-                payload_octets: 60,
-            });
-            collection_upper(app, node == sink, SimDuration::from_secs(5))
-        })
-        // Node C physically joins late (Fig. 12: "joining the network
-        // late does not influence the performance of node C").
-        .node_start(NodeId(2), SimTime::from_secs(100))
-        .build();
+    let cfg = QmaMacConfig::default();
+    // Base rate 10: A alternates 10 ↔ 100 pkt/s, C sends 25 pkt/s.
+    let (mut sim, sources) = world(
+        &topo,
+        MacKind::Qma,
+        &cfg,
+        FrameClock::dsme_so3(),
+        10.0,
+        seed,
+    );
     sim.run_until(SimTime::from_secs(duration_s));
-
     let m = sim.metrics();
     FluctuatingRun {
-        q_sum_a: m.q_sum_series(NodeId(0)).clone(),
-        q_sum_c: m.q_sum_series(NodeId(2)).clone(),
-        pdr: m.pdr_of([NodeId(0), NodeId(2)]).unwrap_or(0.0),
+        q_sum_a: m.q_sum_series(sources[0]).clone(),
+        q_sum_c: m.q_sum_series(sources[1]).clone(),
+        pdr: m.pdr_of(sources.iter().copied()).unwrap_or(0.0),
     }
 }
 
@@ -76,28 +57,10 @@ pub fn run(duration_s: u64, seed: u64) -> FluctuatingRun {
 /// cumulative Q moves between the settled slow and fast phases
 /// (|mean Q(60–100 s) − mean Q(160–200 s)|); larger means the learner
 /// visibly tracks the traffic switches.
-pub fn run_grid(p: &crate::ScenarioParams, seed: u64) -> crate::RunMetrics {
-    let mut patterns = vec![TrafficPattern::Alternating {
-        rates: (p.delta, 10.0 * p.delta),
-        period: SimDuration::from_secs(100),
-        start: SimTime::ZERO,
-        limit: None,
-    }];
-    patterns.resize(
-        p.nodes - 1,
-        TrafficPattern::Poisson {
-            rate: 2.5 * p.delta,
-            start: SimTime::from_secs(100),
-            limit: None,
-        },
-    );
-    let (mut builder, sources, _sink) = crate::params::star_sim_builder(p, seed, true, patterns);
-    for &late in &sources[1..] {
-        builder = builder.node_start(late, SimTime::from_secs(100));
-    }
-    let mut sim = builder.build();
+pub fn run_grid(p: &ScenarioParams, seed: u64) -> RunMetrics {
+    let topo = qma_topo::hidden_star(p.nodes - 1);
+    let (mut sim, sources) = world(&topo, p.mac, &p.qma_mac_config(), p.clock(), p.delta, seed);
     sim.run_until(SimTime::from_secs(p.duration_s));
-
     let q_a = sim.metrics().q_sum_series(sources[0]);
     let swing = match (
         window_mean(q_a, 60.0, 100.0),
@@ -106,7 +69,39 @@ pub fn run_grid(p: &crate::ScenarioParams, seed: u64) -> crate::RunMetrics {
         (Some(slow), Some(fast)) => (slow - fast).abs(),
         _ => 0.0,
     };
-    crate::params::collect_metrics(&sim, &sources, swing)
+    collect_metrics(&sim, &sources, swing)
+}
+
+/// The Fig. 12 world at base rate δ: the first source alternates
+/// between δ and 10·δ every 100 s from t = 0; the others send 2.5·δ
+/// and join the network 100 s late (Fig. 12: "joining the network
+/// late does not influence the performance of node C").
+fn world(
+    topo: &Topology,
+    mac: MacKind,
+    qma_cfg: &QmaMacConfig,
+    clock: FrameClock,
+    delta: f64,
+    seed: u64,
+) -> (Sim<MacImpl, UpperImpl>, Vec<NodeId>) {
+    let sources = source_ids(topo);
+    let first = sources[0];
+    let mut builder = collection_sim(topo, mac, qma_cfg, clock, seed, 60, move |node| {
+        if node == first {
+            TrafficPattern::Alternating {
+                rates: (delta, 10.0 * delta),
+                period: SimDuration::from_secs(100),
+                start: SimTime::ZERO,
+                limit: None,
+            }
+        } else {
+            data_after_management(2.5 * delta, None)
+        }
+    });
+    for &late in &sources[1..] {
+        builder = builder.node_start(late, SimTime::from_secs(100));
+    }
+    (builder.build(), sources)
 }
 
 /// Mean of a series within a time window (`None` when empty).

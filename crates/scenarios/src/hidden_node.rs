@@ -4,15 +4,20 @@
 //! Topology Fig. 6: A — B — C with A, C mutually hidden; B is the
 //! sink. A and C generate 1000 Poisson packets at δ ∈
 //! {1, 2, 4, 6, 8, 10, 25, 50, 100} pkt/s starting at t = 100 s;
-//! management broadcasts run from t = 0. 15 repetitions per scheme,
+//! management chatter runs from t = 0. 15 repetitions per scheme,
 //! 95 % confidence intervals.
 
-use qma_des::SimDuration;
-use qma_net::{CollectionApp, CollectionConfig, TrafficPattern};
-use qma_netsim::{FrameClock, NodeId, SimBuilder};
+use qma_des::SimTime;
+use qma_mac::{MacImpl, QmaMacConfig};
+use qma_netsim::{FrameClock, Sim};
 use qma_stats::{mean_ci95, ConfidenceInterval};
+use qma_topo::Topology;
 
-use crate::common::{collection_upper, hidden_node_horizon, replicate, MacKind};
+use crate::common::{
+    collection_sim, data_after_management, hidden_node_horizon, replicate, source_ids, MacKind,
+    UpperImpl,
+};
+use crate::params::{collect_metrics, RunMetrics, ScenarioParams};
 
 /// The paper's δ sweep (packets per second).
 pub const PAPER_DELTAS: [f64; 9] = [1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 25.0, 50.0, 100.0];
@@ -54,49 +59,31 @@ pub struct HiddenNodeCell {
 
 /// Runs one replication.
 pub fn run_once(mac: MacKind, delta: f64, packets: u64, seed: u64) -> HiddenNodeRun {
-    let topo = qma_topo::hidden_node();
-    let sink = NodeId(topo.sink as u32);
-    let mut sim = SimBuilder::new(topo.connectivity.clone(), seed)
-        .clock(FrameClock::dsme_so3())
-        .mac_factory(move |_, clock| mac.build(clock))
-        .upper_factory(move |node, _| {
-            let pattern = if node == sink {
-                TrafficPattern::Silent
-            } else {
-                TrafficPattern::Poisson {
-                    rate: delta,
-                    start: qma_des::SimTime::from_secs(100),
-                    limit: Some(packets),
-                }
-            };
-            let app = CollectionApp::new(CollectionConfig {
-                pattern,
-                next_hop: (node != sink).then_some(sink),
-                sink,
-                payload_octets: 60,
-            });
-            collection_upper(app, node == sink, SimDuration::from_secs(5))
-        })
-        .build();
-    // The queue metric (Fig. 8) characterises the data phase: exclude
-    // the 100 s management warmup and the post-traffic drain tail.
-    sim.run_until(qma_des::SimTime::from_secs(100));
-    sim.reset_queue_accounting();
-    let traffic_end = qma_des::SimTime::from_secs_f64(100.0 + packets as f64 / delta);
-    sim.run_until(hidden_node_horizon(delta, packets));
+    run_once_with(mac, &QmaMacConfig::default(), delta, packets, seed)
+}
 
-    let m = sim.metrics();
-    let a = NodeId(0);
-    let c = NodeId(2);
+/// [`run_once`] with an explicit QMA configuration (the ablations'
+/// variants).
+pub fn run_once_with(
+    mac: MacKind,
+    qma_cfg: &QmaMacConfig,
+    delta: f64,
+    packets: u64,
+    seed: u64,
+) -> HiddenNodeRun {
+    let topo = qma_topo::hidden_node();
+    let clock = FrameClock::dsme_so3();
+    let sim = collection_sim(&topo, mac, qma_cfg, clock, seed, 60, move |_| {
+        data_after_management(delta, Some(packets))
+    });
+    let m = run_data_phase(sim.build(), &topo, delta, packets);
     HiddenNodeRun {
-        pdr: m.pdr_of([a, c]).unwrap_or(0.0),
-        queue: (m.avg_queue_level_until(a, traffic_end) + m.avg_queue_level_until(c, traffic_end))
-            / 2.0,
-        delay: m.mean_delay_of([a, c]).unwrap_or(0.0),
-        retry_drops: m.mac(a).drops_retry + m.mac(c).drops_retry,
-        queue_drops: m.get("app_mac_ca_drop") as u64
-            + (sim.world().queue(a).drops() + sim.world().queue(c).drops()),
-        events: sim.events_processed(),
+        pdr: m.pdr,
+        queue: m.aux,
+        delay: m.delay_s,
+        retry_drops: m.retry_drops,
+        queue_drops: m.queue_drops,
+        events: m.events,
     }
 }
 
@@ -105,29 +92,43 @@ pub fn run_once(mac: MacKind, delta: f64, packets: u64, seed: u64) -> HiddenNode
 /// at δ = `p.delta` starting at t = 100 s, and the run drains like
 /// the paper's Fig. 7–9 setup. The auxiliary metric is the mean
 /// data-phase queue level over all sources (the Fig. 8 quantity).
-pub fn run_grid(p: &crate::ScenarioParams, seed: u64) -> crate::RunMetrics {
-    let patterns = vec![
-        TrafficPattern::Poisson {
-            rate: p.delta,
-            start: qma_des::SimTime::from_secs(100),
-            limit: Some(p.packets),
-        };
-        p.nodes - 1
-    ];
-    let (builder, sources, _sink) = crate::params::star_sim_builder(p, seed, false, patterns);
-    let mut sim = builder.build();
-    // Queue accounting covers the data phase only, as in [`run_once`].
-    sim.run_until(qma_des::SimTime::from_secs(100));
-    sim.reset_queue_accounting();
-    let traffic_end = qma_des::SimTime::from_secs_f64(100.0 + p.packets as f64 / p.delta);
-    sim.run_until(hidden_node_horizon(p.delta, p.packets));
+pub fn run_grid(p: &ScenarioParams, seed: u64) -> RunMetrics {
+    let topo = qma_topo::hidden_star(p.nodes - 1);
+    let (delta, packets) = (p.delta, p.packets);
+    let sim = collection_sim(
+        &topo,
+        p.mac,
+        &p.qma_mac_config(),
+        p.clock(),
+        seed,
+        60,
+        move |_| data_after_management(delta, Some(packets)),
+    );
+    run_data_phase(sim.record_learner(false).build(), &topo, delta, packets)
+}
 
+/// Runs a hidden-node world through the 100 s management phase, the
+/// data phase and the drain to [`hidden_node_horizon`]. The queue
+/// metric (Fig. 8) characterises the data phase, so queue accounting
+/// restarts when data starts and stops when it ends; the auxiliary
+/// metric is that mean queue level over the sources.
+fn run_data_phase(
+    mut sim: Sim<MacImpl, UpperImpl>,
+    topo: &Topology,
+    delta: f64,
+    packets: u64,
+) -> RunMetrics {
+    let sources = source_ids(topo);
+    sim.run_until(SimTime::from_secs(100));
+    sim.reset_queue_accounting();
+    let traffic_end = SimTime::from_secs_f64(100.0 + packets as f64 / delta);
+    sim.run_until(hidden_node_horizon(delta, packets));
     let queue = sources
         .iter()
         .map(|&s| sim.metrics().avg_queue_level_until(s, traffic_end))
         .sum::<f64>()
         / sources.len() as f64;
-    crate::params::collect_metrics(&sim, &sources, queue)
+    collect_metrics(&sim, &sources, queue)
 }
 
 /// Runs the full sweep for Fig. 7/8/9.

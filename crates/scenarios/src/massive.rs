@@ -25,8 +25,9 @@ use qma_net::TrafficPattern;
 use qma_netsim::{
     Address, AppInfo, Frame, NodeId, Sim, SimBuilder, TxResult, UpperCtx, UpperLayer,
 };
+use qma_topo::Topology;
 
-use crate::common::UpperImpl;
+use crate::common::{parent_ids, source_ids, UpperImpl};
 use crate::params::{MassiveTopology, RunMetrics, ScenarioParams};
 
 /// Instant at which massive-scenario sources start generating data.
@@ -125,7 +126,7 @@ impl UpperLayer for MassiveApp {
 /// Resolves the topology for a grid point: the node count actually
 /// simulated (grid populations round down to a full `w × h` lattice)
 /// plus the per-node first-hop destination.
-pub fn build_topology(p: &ScenarioParams) -> qma_topo::Topology {
+pub fn build_topology(p: &ScenarioParams) -> Topology {
     match p.topology {
         MassiveTopology::HiddenStar => qma_topo::hidden_star(p.nodes - 1),
         MassiveTopology::Grid => {
@@ -156,38 +157,44 @@ pub fn run_grid(p: &ScenarioParams, seed: u64) -> RunMetrics {
 /// `p.duration_s`, together with its traffic sources.
 pub fn build_sim(p: &ScenarioParams, seed: u64) -> (Sim<MacImpl, UpperImpl>, Vec<NodeId>) {
     let topo = build_topology(p);
-    let parents: Vec<Option<NodeId>> = topo
-        .parent
-        .iter()
-        .map(|q| q.map(|i| NodeId(i as u32)))
-        .collect();
-    let sources: Vec<NodeId> = topo.sources().map(|i| NodeId(i as u32)).collect();
+    let (builder, sources) = sim_builder(p, &topo, seed, Some(p.packets));
+    (builder.build(), sources)
+}
 
+/// The builder of a massive-access world on `topo` (see
+/// [`build_topology`]), together with its traffic sources: every
+/// source sends `limit` Poisson packets (`None`: an unbounded flow) at
+/// δ = `p.delta` from t = 1 s to its first hop, the sink stays silent.
+pub fn sim_builder(
+    p: &ScenarioParams,
+    topo: &Topology,
+    seed: u64,
+    limit: Option<u64>,
+) -> (SimBuilder<MacImpl, UpperImpl>, Vec<NodeId>) {
+    let parents = parent_ids(topo);
     let delta = p.delta;
-    let packets = p.packets;
-    let sim = SimBuilder::new(topo.connectivity.clone(), seed)
+    let builder = SimBuilder::new(topo.connectivity.clone(), seed)
         .clock(p.clock())
         // At 10k+ nodes, per-frame learner sampling would dominate
         // both time and memory; massive runs collect aggregates only.
         .record_learner(false)
         .mac_factory(
             p.mac
-                .world_factory(&p.qma_mac_config(), p.clock(), topo.connectivity.len()),
+                .world_factory(&p.qma_mac_config(), p.clock(), topo.len()),
         )
         .upper_factory(move |node, _| {
             let pattern = if parents[node.index()].is_some() {
                 TrafficPattern::Poisson {
                     rate: delta,
                     start: TRAFFIC_START,
-                    limit: Some(packets),
+                    limit,
                 }
             } else {
                 TrafficPattern::Silent
             };
             UpperImpl::Massive(MassiveApp::new(pattern, parents[node.index()], 60))
-        })
-        .build();
-    (sim, sources)
+        });
+    (builder, source_ids(topo))
 }
 
 #[cfg(test)]

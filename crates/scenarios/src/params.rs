@@ -9,13 +9,20 @@
 //! retry budget — plus [`run_scenario`], which dispatches a grid
 //! point to the matching parameterized run and returns a uniform
 //! [`RunMetrics`] record ready for streaming aggregation.
+//!
+//! For the hidden-node, convergence and fluctuating families both
+//! paths build their worlds through [`crate::common::collection_sim`]
+//! and differ only in topology labelling and seeds: a per-figure run
+//! uses the Fig. 6 chain (`qma_topo::hidden_node`, sink at node 1)
+//! under the figure's seed, a grid point the `hidden_star` of
+//! `p.nodes − 1` sources (sink last) under the campaign's
+//! per-replication seed. The massive and chaos families build theirs
+//! through [`crate::massive::sim_builder`].
 
-use qma_des::SimDuration;
 use qma_mac::{MacImpl, QmaMacConfig};
-use qma_net::{CollectionApp, CollectionConfig, TrafficPattern};
-use qma_netsim::{FrameClock, NodeId, Sim, SimBuilder};
+use qma_netsim::{FrameClock, NodeId, Sim};
 
-use crate::common::{collection_upper, MacKind, UpperImpl};
+use crate::common::{MacKind, UpperImpl};
 
 /// Which experiment family a campaign grid point runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -433,46 +440,6 @@ pub struct RunMetrics {
     /// Recovery metrics (all-zero unless a fault plan was armed; see
     /// [`Resilience`]).
     pub resilience: Resilience,
-}
-
-/// Builds the star simulation for one grid point: `p.nodes − 1`
-/// mutually hidden sources around the sink, each source running the
-/// pattern at its index in `patterns` (plus management chatter), the
-/// sink silent. Returns the builder so callers can stagger node
-/// starts before building.
-pub fn star_sim_builder(
-    p: &ScenarioParams,
-    seed: u64,
-    record_learner: bool,
-    patterns: Vec<TrafficPattern>,
-) -> (SimBuilder<MacImpl, UpperImpl>, Vec<NodeId>, NodeId) {
-    assert!(p.nodes >= 2, "need at least one source and the sink");
-    assert_eq!(patterns.len(), p.nodes - 1, "one pattern per source");
-    let topo = qma_topo::hidden_star(p.nodes - 1);
-    let sink = NodeId(topo.sink as u32);
-    let sources: Vec<NodeId> = topo.sources().map(|i| NodeId(i as u32)).collect();
-    let builder = SimBuilder::new(topo.connectivity.clone(), seed)
-        .clock(p.clock())
-        .record_learner(record_learner)
-        .mac_factory(
-            p.mac
-                .world_factory(&p.qma_mac_config(), p.clock(), topo.connectivity.len()),
-        )
-        .upper_factory(move |node, _| {
-            let pattern = if node == sink {
-                TrafficPattern::Silent
-            } else {
-                patterns[node.index()].clone()
-            };
-            let app = CollectionApp::new(CollectionConfig {
-                pattern,
-                next_hop: (node != sink).then_some(sink),
-                sink,
-                payload_octets: 60,
-            });
-            collection_upper(app, node == sink, SimDuration::from_secs(5))
-        });
-    (builder, sources, sink)
 }
 
 /// Extracts the uniform metric record from a finished simulation.

@@ -5,11 +5,8 @@
 //! final policy. We record the executed-action map over a window and
 //! snapshot the learned policies.
 
-use qma_des::{SimDuration, SimTime};
-use qma_net::{CollectionApp, CollectionConfig, TrafficPattern};
-use qma_netsim::{FrameClock, NodeId, SimBuilder, SlotAction};
-
-use crate::common::{collection_upper, MacKind};
+use qma_des::SimTime;
+use qma_netsim::{NodeId, SlotAction};
 
 /// The checkpoint (seconds) at which the paper samples the early
 /// utilization for each δ — "at 170 seconds for δ = 100, 150 seconds
@@ -54,30 +51,7 @@ fn policy_to_map(policy: Vec<SlotAction>) -> Vec<Option<SlotAction>> {
 
 /// Runs the Fig. 13–15 scenario for one δ.
 pub fn run(delta: f64, total_duration_s: u64, seed: u64) -> SlotUtilization {
-    let topo = qma_topo::hidden_node();
-    let sink = NodeId(topo.sink as u32);
-    let mut sim = SimBuilder::new(topo.connectivity.clone(), seed)
-        .clock(FrameClock::dsme_so3())
-        .mac_factory(|_, clock| MacKind::Qma.build(clock))
-        .upper_factory(move |node, _| {
-            let pattern = if node == sink {
-                TrafficPattern::Silent
-            } else {
-                TrafficPattern::Poisson {
-                    rate: delta,
-                    start: SimTime::from_secs(100),
-                    limit: None,
-                }
-            };
-            let app = CollectionApp::new(CollectionConfig {
-                pattern,
-                next_hop: (node != sink).then_some(sink),
-                sink,
-                payload_octets: 60,
-            });
-            collection_upper(app, node == sink, SimDuration::from_secs(5))
-        })
-        .build();
+    let mut sim = crate::convergence::learning_sim(delta, seed).build();
 
     // Sample the executed-action window around the checkpoint: reset
     // the log 20 s before, snapshot at the checkpoint.

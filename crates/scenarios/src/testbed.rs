@@ -8,13 +8,14 @@
 //! unslotted CSMA/CA, as the paper does ("slotted and unslotted
 //! CSMA/CA perform almost the same").
 
-use qma_des::{SimDuration, SimTime};
-use qma_net::{CollectionApp, CollectionConfig, TrafficPattern};
-use qma_netsim::{FrameClock, NodeId, SimBuilder};
+use qma_mac::QmaMacConfig;
+use qma_netsim::{FrameClock, NodeId};
 use qma_stats::{mean_ci95, ConfidenceInterval};
 use qma_topo::Topology;
 
-use crate::common::{collection_upper, replicate, MacKind};
+use crate::common::{
+    collection_sim, data_after_management, hidden_node_horizon, replicate, source_ids, MacKind,
+};
 
 /// Which testbed deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,52 +78,31 @@ pub fn run_once(
     seed: u64,
 ) -> (Vec<(u32, f64)>, f64, EnergySummary) {
     let topo = testbed.topology();
-    let sink = NodeId(topo.sink as u32);
-    let parents: Vec<Option<NodeId>> = topo
-        .parent
-        .iter()
-        .map(|p| p.map(|i| NodeId(i as u32)))
-        .collect();
-    let horizon = SimTime::from_secs_f64(100.0 + packets as f64 / rate + 30.0);
-    let mut sim = SimBuilder::new(topo.connectivity.clone(), seed)
-        .clock(FrameClock::dsme_so3())
-        .mac_factory(move |_, clock| mac.build(clock))
-        .upper_factory(move |node, _| {
-            let pattern = if node == sink {
-                TrafficPattern::Silent
-            } else {
-                TrafficPattern::Poisson {
-                    rate,
-                    start: SimTime::from_secs(100),
-                    limit: Some(packets),
-                }
-            };
-            let app = CollectionApp::new(CollectionConfig {
-                pattern,
-                next_hop: parents[node.index()],
-                sink,
-                // Short sensor readings (the tree's inner collision
-                // domain carries ~140 pkt/s of forwarded traffic —
-                // with the 30-octet payloads typical of openDSME data
-                // requests the CAP sustains it, as on the testbed).
-                payload_octets: 16,
-            });
-            collection_upper(app, node == sink, SimDuration::from_secs(5))
-        })
-        .build();
-    sim.run_until(horizon);
+    // Short sensor readings (the tree's inner collision domain carries
+    // ~140 pkt/s of forwarded traffic — with the 30-octet payloads
+    // typical of openDSME data requests the CAP sustains it, as on the
+    // testbed).
+    let payload_octets = 16;
+    let mut sim = collection_sim(
+        &topo,
+        mac,
+        &QmaMacConfig::default(),
+        FrameClock::dsme_so3(),
+        seed,
+        payload_octets,
+        move |_| data_after_management(rate, Some(packets)),
+    )
+    .build();
+    sim.run_until(hidden_node_horizon(rate, packets));
 
-    let mut per_node = Vec::new();
+    let sources = source_ids(&topo);
+    let per_node = sources
+        .iter()
+        .map(|&s| (topo.labels[s.index()], sim.metrics().pdr(s).unwrap_or(0.0)))
+        .collect();
+    let total = sim.metrics().pdr_of(sources).unwrap_or(0.0);
     let mut energy = EnergySummary::default();
     let n = topo.len();
-    for i in topo.sources() {
-        let node = NodeId(i as u32);
-        per_node.push((topo.labels[i], sim.metrics().pdr(node).unwrap_or(0.0)));
-    }
-    let total = sim
-        .metrics()
-        .pdr_of(topo.sources().map(|i| NodeId(i as u32)))
-        .unwrap_or(0.0);
     for i in 0..n {
         let report = sim.energy_report(NodeId(i as u32));
         energy.mean_mj += report.total_mj / n as f64;
