@@ -7,9 +7,12 @@
 //! * [`SimTime`]/[`SimDuration`] — integer microsecond simulated time,
 //! * [`Scheduler`] — a priority queue of timestamped events with
 //!   deterministic FIFO tie-breaking and O(1) logical cancellation,
-//! * [`Executor`] — a run loop dispatching events to a [`Handler`],
 //! * [`seed`] — splitmix64 seed derivation so every node/replication
 //!   gets an independent, reproducible random stream.
+//!
+//! The run loop belongs to the model: it pops events in order and
+//! handles each, scheduling follow-ups on the same scheduler
+//! (`qma-netsim`'s `Sim::try_run_until` is the simulator's).
 //!
 //! Determinism: two runs with the same seed and the same event
 //! insertion order produce identical traces. Ties in time are broken
@@ -18,35 +21,28 @@
 //! # Examples
 //!
 //! ```
-//! use qma_des::{Executor, Handler, Scheduler, SimDuration, SimTime};
-//!
-//! struct Counter(u32);
-//! impl Handler<&'static str> for Counter {
-//!     fn handle(&mut self, _now: SimTime, _ev: &'static str, sched: &mut Scheduler<&'static str>) {
-//!         self.0 += 1;
-//!         if self.0 < 3 {
-//!             sched.schedule_in(SimDuration::from_millis(10), "tick");
-//!         }
-//!     }
-//! }
+//! use qma_des::{Scheduler, SimDuration, SimTime};
 //!
 //! let mut sched = Scheduler::new();
 //! sched.schedule_at(SimTime::ZERO, "tick");
-//! let mut h = Counter(0);
-//! let end = Executor::new().run(&mut h, &mut sched);
-//! assert_eq!(h.0, 3);
-//! assert_eq!(end, SimTime::from_millis(20));
+//! let mut ticks = 0;
+//! while let Some(entry) = sched.pop() {
+//!     ticks += 1;
+//!     if ticks < 3 {
+//!         sched.schedule_in(SimDuration::from_millis(10), entry.event);
+//!     }
+//! }
+//! assert_eq!(ticks, 3);
+//! assert_eq!(sched.now(), SimTime::from_millis(20));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod exec;
 pub mod sched;
 pub mod seed;
 pub mod time;
 
-pub use exec::{Executor, Handler, StopReason};
 pub use sched::{EventEntry, EventKey, Scheduler};
 pub use seed::SeedSequence;
 pub use time::{SimDuration, SimTime};

@@ -404,7 +404,7 @@ impl<E> Scheduler<E> {
     /// message formatting lives here, off the hot path), release
     /// builds count the clamp and pin the event to `now`. With
     /// [`Scheduler::set_clamp_tolerant`] armed, both build profiles
-    /// count instead — the executor enforces its clamp budget.
+    /// count instead — the run loop enforces its clamp budget.
     #[cold]
     fn clamp_past(&mut self, time: SimTime) -> SimTime {
         if cfg!(debug_assertions) && !self.clamp_tolerant {
@@ -418,7 +418,7 @@ impl<E> Scheduler<E> {
     /// rather than a logic error: clamps are counted in
     /// [`Scheduler::past_clamps`] in every build profile instead of
     /// panicking in debug. Fault-injected clock skew legitimately
-    /// drives timers into the past; the simulation executor arms this
+    /// drives timers into the past; the simulation's run loop arms this
     /// and aborts the run when the count exceeds its configured
     /// budget.
     pub fn set_clamp_tolerant(&mut self, tolerant: bool) {
@@ -514,7 +514,7 @@ impl<E> Scheduler<E> {
     /// [`Scheduler::pop`] bounded by a time horizon: pops only if the
     /// earliest pending event fires at or before `horizon`. One merged
     /// head inspection instead of a separate peek + pop — the shape
-    /// the executor's run loop wants.
+    /// a horizon-bounded run loop wants.
     #[inline]
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<EventEntry<E>> {
         if let Some(w) = self.wheel_head {
@@ -763,6 +763,32 @@ mod tests {
         assert_eq!(s.pop().unwrap().event, 2);
         s.cancel(b); // now stale as well
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn pop_at_or_before_takes_an_event_exactly_at_the_horizon() {
+        let mut s = Scheduler::new();
+        s.schedule_at(SimTime::from_secs(2), 9);
+        let entry = s
+            .pop_at_or_before(SimTime::from_secs(2))
+            .expect("due at the horizon");
+        assert_eq!((entry.time, entry.event), (SimTime::from_secs(2), 9));
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn pop_at_or_before_leaves_later_events_queued() {
+        let mut s = Scheduler::new();
+        for secs in [1, 2, 3] {
+            s.schedule_at(SimTime::from_secs(secs), secs);
+        }
+        let horizon = SimTime::from_millis(2_500);
+        let popped: Vec<u64> =
+            std::iter::from_fn(|| s.pop_at_or_before(horizon).map(|e| e.event)).collect();
+        assert_eq!(popped, vec![1, 2]);
+        assert_eq!(s.len(), 1, "the t = 3 s event stays queued");
+        assert_eq!(s.now(), SimTime::from_secs(2));
+        assert_eq!(s.pop().map(|e| e.event), Some(3));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 
-use qma_des::{Handler, Scheduler, SeedSequence, SimDuration, SimTime};
+use qma_des::{Scheduler, SeedSequence, SimDuration, SimTime};
 use qma_phy::{
     Connectivity, EnergyMeter, EnergyReport, Medium, PhyNodeId, PhyTiming, PowerProfile, TxToken,
 };
@@ -1771,9 +1771,8 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                     }
                 }
             }
-        }
 
-        impl<M: MacProtocol, U: UpperLayer> Handler<Event> for Driver<'_, M, U> {
+            /// Processes one event occurring at `now`.
             fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<Event>) {
                 match event {
                     Event::Start => {
