@@ -230,4 +230,126 @@ mod tests {
         assert_eq!(parsed.reason_code, None);
         assert_eq!(parsed.campaign, None);
     }
+
+    mod properties {
+        //! `campaignctl` parses a file the daemon rewrites: any text
+        //! yields a snapshot or `None`, never a panic, and a rendered
+        //! snapshot parses back to every field `parse` reads.
+
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `campaign_id`'s alphabet: ASCII alphanumerics, `-` and `_`.
+        const ID_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_";
+
+        fn arb_id() -> impl Strategy<Value = String> {
+            prop::collection::vec(0..ID_CHARS.len(), 1..24)
+                .prop_map(|ix| ix.into_iter().map(|i| ID_CHARS[i] as char).collect())
+        }
+
+        fn arb_ids() -> impl Strategy<Value = Vec<String>> {
+            prop::collection::vec(arb_id(), 0..4)
+        }
+
+        fn arb_campaign() -> impl Strategy<Value = Option<CampaignStatus>> {
+            let campaign = (
+                arb_id(),
+                0..CampaignState::ALL.len(),
+                (any::<usize>(), any::<usize>(), any::<usize>()),
+            )
+                .prop_map(|(id, state, (done, total, quarantined))| CampaignStatus {
+                    id,
+                    state: CampaignState::ALL[state],
+                    configs_done: done,
+                    configs_total: total,
+                    quarantined,
+                });
+            prop_oneof![Just(None), campaign.prop_map(Some)]
+        }
+
+        fn arb_snapshot() -> impl Strategy<Value = StatusSnapshot> {
+            let worker = (arb_id(), any::<u32>(), any::<bool>(), any::<u32>()).prop_map(
+                |(id, pid, alive, respawns)| WorkerStatus {
+                    id,
+                    pid,
+                    alive,
+                    respawns,
+                },
+            );
+            (
+                (any::<u32>(), any::<bool>(), any::<bool>()),
+                prop_oneof![Just(None), arb_id().prop_map(Some)],
+                (arb_ids(), arb_ids(), arb_ids()),
+                arb_campaign(),
+                prop::collection::vec(worker, 0..3),
+            )
+                .prop_map(
+                    |((daemon_pid, accepting, draining), reason_code, lists, campaign, workers)| {
+                        let (queued, archived, failed) = lists;
+                        StatusSnapshot {
+                            daemon_pid,
+                            accepting,
+                            reason_code,
+                            draining,
+                            queued,
+                            campaign,
+                            workers,
+                            archived,
+                            failed,
+                        }
+                    },
+                )
+        }
+
+        /// Arbitrary text: random bytes, lossily decoded, or runs of
+        /// the snapshot's own keys and JSON punctuation.
+        fn arb_text() -> impl Strategy<Value = String> {
+            const PIECES: [&str; 20] = [
+                "\"daemon_pid\": ",
+                "\"accepting\": ",
+                "\"reason_code\": ",
+                "\"campaign\": {",
+                "\"queued\": [",
+                "\"id\": ",
+                "\"state\": ",
+                "\"configs_done\": ",
+                "null",
+                "true",
+                "running",
+                "\"",
+                "[",
+                "]",
+                "{",
+                "}",
+                ", ",
+                "\n",
+                "7",
+                "-",
+            ];
+            prop_oneof![
+                prop::collection::vec(any::<u8>(), 0..256)
+                    .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+                prop::collection::vec(0..PIECES.len(), 0..48)
+                    .prop_map(|ix| ix.into_iter().map(|i| PIECES[i]).collect()),
+            ]
+        }
+
+        proptest! {
+            #[test]
+            fn render_then_parse_round_trips(snap in arb_snapshot()) {
+                let parsed = StatusSnapshot::parse(&snap.render()).expect("rendered text parses");
+                // Worker detail is display-only and not reparsed.
+                prop_assert_eq!(parsed, StatusSnapshot { workers: Vec::new(), ..snap });
+            }
+
+            #[test]
+            fn torn_and_arbitrary_text_never_panics(snap in arb_snapshot(), text in arb_text()) {
+                let _ = StatusSnapshot::parse(&text);
+                let rendered = snap.render().into_bytes();
+                for cut in 0..=rendered.len() {
+                    let _ = StatusSnapshot::parse(&String::from_utf8_lossy(&rendered[..cut]));
+                }
+            }
+        }
+    }
 }
