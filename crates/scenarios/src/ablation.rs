@@ -89,8 +89,7 @@ pub struct AblationResult {
     pub queue: f64,
 }
 
-/// Runs one variant in the δ-pkt/s hidden-node scenario
-/// ([`hidden_node::run_once_with`]).
+/// Runs one variant in the δ-pkt/s hidden-node scenario.
 pub fn run_variant(variant: &Variant, delta: f64, packets: u64, seed: u64) -> AblationResult {
     let qma_cfg = QmaMacConfig {
         agent: variant.config.clone(),

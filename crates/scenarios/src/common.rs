@@ -309,7 +309,7 @@ pub fn collection_sim(
 
 /// Poisson data at `rate` pkt/s from t = 100 s, once the management
 /// phase is over (§6.1), stopping after `limit` packets when given.
-pub fn data_after_management(rate: f64, limit: Option<u64>) -> TrafficPattern {
+pub(crate) fn data_after_management(rate: f64, limit: Option<u64>) -> TrafficPattern {
     TrafficPattern::Poisson {
         rate,
         start: SimTime::from_secs(100),
@@ -318,13 +318,13 @@ pub fn data_after_management(rate: f64, limit: Option<u64>) -> TrafficPattern {
 }
 
 /// Each node's parent in `topology` (`None` for the sink).
-pub fn parent_ids(topology: &Topology) -> Vec<Option<NodeId>> {
+pub(crate) fn parent_ids(topology: &Topology) -> Vec<Option<NodeId>> {
     let id = |i: usize| NodeId(i as u32);
     topology.parent.iter().map(|p| p.map(id)).collect()
 }
 
 /// The nodes of `topology` other than the sink, in id order.
-pub fn source_ids(topology: &Topology) -> Vec<NodeId> {
+pub(crate) fn source_ids(topology: &Topology) -> Vec<NodeId> {
     topology.sources().map(|i| NodeId(i as u32)).collect()
 }
 

@@ -29,7 +29,7 @@ pub struct ConvergenceRun {
 /// The Fig. 6 hidden-node world with QMA at the paper's defaults on
 /// every node and unlimited data at δ from t = 100 s — the setting of
 /// Fig. 10, 11 and 13–15.
-pub fn learning_sim(delta: f64, seed: u64) -> SimBuilder<MacImpl, UpperImpl> {
+pub(crate) fn learning_sim(delta: f64, seed: u64) -> SimBuilder<MacImpl, UpperImpl> {
     collection_sim(
         &qma_topo::hidden_node(),
         MacKind::Qma,

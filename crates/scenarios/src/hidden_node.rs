@@ -64,7 +64,7 @@ pub fn run_once(mac: MacKind, delta: f64, packets: u64, seed: u64) -> HiddenNode
 
 /// [`run_once`] with an explicit QMA configuration (the ablations'
 /// variants).
-pub fn run_once_with(
+pub(crate) fn run_once_with(
     mac: MacKind,
     qma_cfg: &QmaMacConfig,
     delta: f64,
