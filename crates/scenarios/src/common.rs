@@ -319,8 +319,8 @@ pub(crate) fn data_after_management(rate: f64, limit: Option<u64>) -> TrafficPat
 
 /// Each node's parent in `topology` (`None` for the sink).
 pub(crate) fn parent_ids(topology: &Topology) -> Vec<Option<NodeId>> {
-    let id = |i: usize| NodeId(i as u32);
-    topology.parent.iter().map(|p| p.map(id)).collect()
+    let parent_id = |p: &Option<usize>| p.map(|i| NodeId(i as u32));
+    topology.parent.iter().map(parent_id).collect()
 }
 
 /// The nodes of `topology` other than the sink, in id order.
