@@ -6,7 +6,7 @@
 //!
 //! * [`SimTime`]/[`SimDuration`] — integer microsecond simulated time,
 //! * [`Scheduler`] — a priority queue of timestamped events with
-//!   deterministic FIFO tie-breaking and O(1) logical cancellation,
+//!   deterministic FIFO tie-breaking,
 //! * [`seed`] — splitmix64 seed derivation so every node/replication
 //!   gets an independent, reproducible random stream.
 //!
@@ -43,6 +43,6 @@ pub mod sched;
 pub mod seed;
 pub mod time;
 
-pub use sched::{EventEntry, EventKey, Scheduler};
+pub use sched::{EventEntry, Scheduler};
 pub use seed::SeedSequence;
 pub use time::{SimDuration, SimTime};
