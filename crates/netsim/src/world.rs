@@ -420,7 +420,7 @@ impl Nodes {
 /// sees exactly what every other MAC callback sees. See
 /// [`MacCtx::queue_diff`] for the semantics.
 fn queue_diff_value(now: SimTime, i: usize, queue: &TxQueue, levels: &NeighborLevels) -> i32 {
-    let local = queue.len() as f64;
+    let local = queue.len() as i64;
 
     // Prefer the communication partner's level: the node the
     // head-of-line frame is addressed to is the one whose service
@@ -434,12 +434,12 @@ fn queue_diff_value(now: SimTime, i: usize, queue: &TxQueue, levels: &NeighborLe
         if let crate::frame::Address::Node(dst) = head.dst {
             if let Some((level, at)) = levels.get(i, dst.0) {
                 if now.since(at) <= NEIGHBOR_LEVEL_TTL {
-                    return (local - level as f64).round() as i32;
+                    return (local - i64::from(level)) as i32;
                 }
             }
             // Partner unknown or stale: treat as empty (the sink
             // before its first frame, or a silent neighbour).
-            return local.round() as i32;
+            return local as i32;
         }
     }
 
@@ -452,15 +452,31 @@ fn queue_diff_value(now: SimTime, i: usize, queue: &TxQueue, levels: &NeighborLe
             .entries(i)
             .iter()
             .flatten()
-            .fold((0.0f64, 0u32), |(sum, count), &(level, at)| {
+            .fold((0i64, 0i64), |(sum, count), &(level, at)| {
                 if now.since(at) <= NEIGHBOR_LEVEL_TTL {
-                    (sum + level as f64, count + 1)
+                    (sum + i64::from(level), count + 1)
                 } else {
                     (sum, count)
                 }
             });
-    let avg = if count == 0 { 0.0 } else { sum / count as f64 };
-    (local - avg).round() as i32
+    if count == 0 {
+        return local as i32;
+    }
+    round_ratio(local * count - sum, count) as i32
+}
+
+/// `n / d` for `d > 0`, rounded half away from zero — what
+/// `f64::round` gives for `local − sum / count`, without the float.
+/// The two agree exactly: `n / d` is either a half-integer, which an
+/// `f64` holds exactly, or at least `1 / (2d)` away from one, far
+/// beyond the rounding error of two `f64` operations.
+fn round_ratio(n: i64, d: i64) -> i64 {
+    let magnitude = (2 * n.abs() + d) / (2 * d);
+    if n < 0 {
+        -magnitude
+    } else {
+        magnitude
+    }
 }
 
 enum Notice {
@@ -2429,5 +2445,174 @@ mod tests {
         assert_eq!(s.pop_lowest(&mut word), Some(199));
         assert_eq!(s.pop_lowest(&mut word), None);
         assert_eq!(s.count(), 0);
+    }
+
+    /// `queue_diff_value` computes in integers what it once computed
+    /// through `f64`; the old fold stays here as its oracle.
+    mod queue_diff_oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The `f64` fold `queue_diff_value` replaced.
+        fn queue_diff_f64(now: SimTime, i: usize, queue: &TxQueue, levels: &NeighborLevels) -> i32 {
+            let local = queue.len() as f64;
+            if let Some(head) = queue.head_info() {
+                if let Address::Node(dst) = head.dst {
+                    if let Some((level, at)) = levels.get(i, dst.0) {
+                        if now.since(at) <= NEIGHBOR_LEVEL_TTL {
+                            return (local - level as f64).round() as i32;
+                        }
+                    }
+                    return local.round() as i32;
+                }
+            }
+            let (sum, count) = levels.entries(i).iter().flatten().fold(
+                (0.0f64, 0u32),
+                |(sum, count), &(level, at)| {
+                    if now.since(at) <= NEIGHBOR_LEVEL_TTL {
+                        (sum + level as f64, count + 1)
+                    } else {
+                        (sum, count)
+                    }
+                },
+            );
+            let avg = if count == 0 { 0.0 } else { sum / count as f64 };
+            (local - avg).round() as i32
+        }
+
+        const NOW: SimTime = SimTime::from_secs(10);
+
+        /// Node 0's level row over in-neighbours `1..=row.len()`: each
+        /// entry is unheard (`None`) or a level heard `age` ago.
+        fn row_levels(row: &[Option<(u8, SimDuration)>]) -> NeighborLevels {
+            NeighborLevels {
+                offsets: vec![0, row.len() as u32],
+                ids: (1..=row.len() as u32).collect(),
+                levels: row
+                    .iter()
+                    .map(|e| e.map(|(level, age)| (level, NOW - age)))
+                    .collect(),
+            }
+        }
+
+        /// A queue of `len` frames whose head goes to `dst`.
+        fn queue_to(len: usize, dst: Address) -> TxQueue {
+            let mut queue = TxQueue::new(256);
+            for seq in 0..len as u32 {
+                assert!(queue.push(Frame::data(NodeId(0), dst, seq, 10, false), NOW));
+            }
+            queue
+        }
+
+        /// Both folds on one node, asserted equal; returns the value.
+        fn both(queue: &TxQueue, levels: &NeighborLevels) -> i32 {
+            let got = queue_diff_value(NOW, 0, queue, levels);
+            assert_eq!(got, queue_diff_f64(NOW, 0, queue, levels));
+            got
+        }
+
+        /// A stale report: heard just over the TTL ago.
+        const STALE: SimDuration = SimDuration::from_micros(NEIGHBOR_LEVEL_TTL.as_micros() + 1);
+
+        proptest! {
+            /// Every branch: the partner's level (fresh, stale or
+            /// unheard), and the average over fresh reports behind a
+            /// broadcast head or an empty queue.
+            #[test]
+            fn queue_diff_matches_the_f64_fold(
+                row in prop::collection::vec((any::<u8>(), 0u8..4, 0u64..=3_000_000), 0..=64),
+                len in 0usize..=255,
+                head in 0u8..3,
+                partner in any::<usize>()
+            ) {
+                let row: Vec<_> = row
+                    .into_iter()
+                    .map(|(level, kind, age_us)| match kind {
+                        0 => None,
+                        // Exactly at the TTL still counts as fresh.
+                        1 => Some((level, NEIGHBOR_LEVEL_TTL)),
+                        _ => Some((level, SimDuration::from_micros(age_us))),
+                    })
+                    .collect();
+                let dst = match head {
+                    0 => Address::Broadcast,
+                    1 if !row.is_empty() => Address::Node(NodeId(1 + (partner % row.len()) as u32)),
+                    _ => Address::Node(NodeId(row.len() as u32 + 1)),
+                };
+                both(&queue_to(len, dst), &row_levels(&row));
+            }
+
+            /// Rows whose fresh average sits exactly on a half: `2m`
+            /// fresh reports summing to `m·j` for odd `j`, among
+            /// unheard and stale entries, make `local − avg` a
+            /// half-integer of either sign.
+            #[test]
+            fn queue_diff_rounds_exact_halves_like_the_f64_fold(
+                m in 1u32..=16,
+                j_half in 0u32..255,
+                len in 0usize..=255,
+                noise in prop::collection::vec((any::<u8>(), any::<bool>()), 0..=32)
+            ) {
+                let mut rest = m * (2 * j_half + 1);
+                let mut row: Vec<_> = (0..2 * m)
+                    .map(|_| {
+                        let level = rest.min(255);
+                        rest -= level;
+                        Some((level as u8, SimDuration::ZERO))
+                    })
+                    .collect();
+                prop_assert_eq!(rest, 0);
+                row.extend(noise.iter().map(|&(level, heard)| heard.then_some((level, STALE))));
+                let got = both(&queue_to(len, Address::Broadcast), &row_levels(&row));
+                // local − avg = (2·len − j) / 2, rounded away from zero.
+                let twice = 2 * len as i32 - (2 * j_half as i32 + 1);
+                prop_assert_eq!(got, (twice + twice.signum()) / 2);
+            }
+        }
+
+        #[test]
+        fn halves_round_away_from_zero_in_both_directions() {
+            let fresh = |levels: &[u8]| -> Vec<_> {
+                levels
+                    .iter()
+                    .map(|&l| Some((l, SimDuration::ZERO)))
+                    .collect()
+            };
+            // Average 0.5 below or above the local level.
+            assert_eq!(
+                both(
+                    &queue_to(1, Address::Broadcast),
+                    &row_levels(&fresh(&[0, 1]))
+                ),
+                1
+            );
+            assert_eq!(
+                both(
+                    &queue_to(0, Address::Broadcast),
+                    &row_levels(&fresh(&[0, 1]))
+                ),
+                -1
+            );
+            assert_eq!(
+                both(
+                    &queue_to(3, Address::Broadcast),
+                    &row_levels(&fresh(&[1, 2]))
+                ),
+                2
+            );
+            assert_eq!(
+                both(
+                    &queue_to(0, Address::Broadcast),
+                    &row_levels(&fresh(&[1, 2]))
+                ),
+                -2
+            );
+            // No fresh report: the local level itself.
+            let stale = [Some((9, STALE)), None];
+            assert_eq!(
+                both(&queue_to(4, Address::Broadcast), &row_levels(&stale)),
+                4
+            );
+        }
     }
 }
