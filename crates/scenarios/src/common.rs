@@ -109,7 +109,7 @@ impl std::fmt::Display for MacKind {
 /// piggybacking that parameter-based exploration needs (§4.2).
 pub struct WithManagement<U> {
     inner: U,
-    target: Option<NodeId>,
+    target: NodeId,
     period: SimDuration,
     octets: u16,
     seq: u32,
@@ -121,9 +121,9 @@ const TAG_MGMT: u64 = u64::MAX; // disjoint from inner tags by convention
 pub const MGMT_BACKGROUND: u8 = 0x01;
 
 impl<U> WithManagement<U> {
-    /// Adds `period`-spaced management unicasts toward `target`
-    /// (broadcasts when `None`) to `inner`.
-    pub fn new_towards(inner: U, target: Option<NodeId>, period: SimDuration) -> Self {
+    /// Adds `period`-spaced management unicasts toward `target` to
+    /// `inner`.
+    pub fn new_towards(inner: U, target: NodeId, period: SimDuration) -> Self {
         WithManagement {
             inner,
             target,
@@ -131,11 +131,6 @@ impl<U> WithManagement<U> {
             octets: 12,
             seq: 0,
         }
-    }
-
-    /// Adds `period`-spaced management broadcasts to `inner`.
-    pub fn new(inner: U, period: SimDuration) -> Self {
-        Self::new_towards(inner, None, period)
     }
 }
 
@@ -150,11 +145,8 @@ impl<U: UpperLayer> UpperLayer for WithManagement<U> {
     fn on_timer(&mut self, ctx: &mut UpperCtx<'_>, tag: u64) {
         if tag == TAG_MGMT {
             self.seq = self.seq.wrapping_add(1);
-            let (dst, ack) = match self.target {
-                Some(t) => (qma_netsim::Address::Node(t), true),
-                None => (qma_netsim::Address::Broadcast, false),
-            };
-            let f = Frame::management(ctx.node, dst, MGMT_BACKGROUND, self.seq, self.octets, ack);
+            let dst = qma_netsim::Address::Node(self.target);
+            let f = Frame::management(ctx.node, dst, MGMT_BACKGROUND, self.seq, self.octets, true);
             ctx.enqueue_mac(f);
             ctx.schedule(self.period, TAG_MGMT);
         } else {
@@ -260,12 +252,11 @@ pub fn collection_upper(
     is_sink: bool,
     mgmt_period: SimDuration,
 ) -> UpperImpl {
-    let target = app.config().next_hop;
     if is_sink {
-        UpperImpl::Collection(app)
-    } else {
-        UpperImpl::Managed(WithManagement::new_towards(app, target, mgmt_period))
+        return UpperImpl::Collection(app);
     }
+    let target = app.config().next_hop.expect("a source has a next hop");
+    UpperImpl::Managed(WithManagement::new_towards(app, target, mgmt_period))
 }
 
 /// The paper's management-chatter period (one frame every 5 s).
