@@ -172,30 +172,3 @@ mod tests {
         assert_eq!(f.lines().count(), 3);
     }
 }
-
-#[cfg(test)]
-mod probe {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn probe_rho_dynamics() {
-        let mut sim = learning_sim(100.0, 7).build();
-        sim.run_until(SimTime::from_secs(200));
-        let m = sim.metrics();
-        let a = NodeId(0);
-        println!(
-            "A: generated={} delivered={} queue_drops={} retry_drops={} avg_queue={:.2} attempts={}",
-            m.generated(a),
-            m.delivered(a),
-            sim.world().queue(a).drops(),
-            m.mac(a).drops_retry,
-            m.avg_queue_level(a),
-            m.mac(a).tx_attempts,
-        );
-        println!(
-            "PDR(A,C)={:.3}",
-            m.pdr_of([NodeId(0), NodeId(2)]).unwrap_or(0.0)
-        );
-    }
-}

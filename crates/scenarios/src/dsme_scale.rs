@@ -211,86 +211,3 @@ mod tests {
         );
     }
 }
-
-#[cfg(test)]
-mod probe {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn probe_dsme_qma() {
-        let topo = qma_topo::concentric_rings(1, 20.0);
-        let sink = NodeId(topo.sink as u32);
-        let sink_pos = topo.positions[topo.sink];
-        let positions = topo.positions.clone();
-        let parents = parent_ids(&topo);
-        let clock = FrameClock::dsme_so3();
-        let qma = MacKind::Qma.world_factory(&QmaMacConfig::default(), clock, topo.len());
-        let mut sim = SimBuilder::new(topo.connectivity.clone(), 13)
-            .clock(clock)
-            .channels(MsfConfig::default().channels)
-            .mac_factory(qma)
-            .upper_factory(move |node, _| {
-                let pattern = if node == sink {
-                    TrafficPattern::Silent
-                } else {
-                    TrafficPattern::Alternating {
-                        rates: (1.0, 10.0),
-                        period: SimDuration::from_secs(5),
-                        start: SimTime::from_secs(20),
-                        limit: None,
-                    }
-                };
-                let cfg = DsmeNodeConfig::paper(
-                    pattern,
-                    sink,
-                    sink_pos,
-                    positions[node.index()],
-                    parents[node.index()],
-                );
-                Box::new(DsmeNode::new(node, cfg))
-            })
-            .build();
-        sim.run_until(SimTime::from_secs(250));
-        let m = sim.metrics();
-        let origins = source_ids(&topo);
-        println!(
-            "gts_allocated={} dealloc={} conflicts={}",
-            m.get("gts_allocated"),
-            m.get("gts_deallocated"),
-            m.get("gts_conflict")
-        );
-        println!(
-            "gts_data_tx={} delivered={} lost={}",
-            m.get("gts_data_tx"),
-            m.get("gts_data_delivered"),
-            m.get("gts_data_lost")
-        );
-        println!("cfp_queue_drop={}", m.get("cfp_queue_drop"));
-        println!(
-            "generated={} pdr={:?}",
-            origins.iter().map(|&o| m.generated(o)).sum::<u64>(),
-            m.pdr_of(origins.clone())
-        );
-        println!(
-            "medium: collisions={} clean={}",
-            sim.world().medium().collisions(),
-            sim.world().medium().clean_receptions()
-        );
-        println!(
-            "req sent={} acked={} resp_sent={} resp_ok={} resp_rejected={}",
-            m.get("sec_req_sent"),
-            m.get("sec_req_acked"),
-            m.get("sec_resp_sent"),
-            m.get("sec_resp_ok"),
-            m.get("gts_resp_rejected")
-        );
-        for i in 0..3u32 {
-            let n = NodeId(i);
-            println!(
-                "node {i}: alloc={} hs_failed-global",
-                m.get_node("gts_allocated", n)
-            );
-        }
-    }
-}

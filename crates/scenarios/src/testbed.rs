@@ -223,36 +223,3 @@ mod tests {
         );
     }
 }
-
-#[cfg(test)]
-mod probe {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn probe_tree() {
-        for (mac, label) in [(MacKind::Qma, "QMA"), (MacKind::UnslottedCsma, "CSMA")] {
-            let (per, total, _) = run_once(Testbed::Tree, mac, 10.0, 400, 1);
-            println!("{label}: total={total:.3} per-node:");
-            for (l, p) in per {
-                println!("  node {l}: {p:.3}");
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod probe2 {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn probe_star() {
-        let (_, q, eq) = run_once(Testbed::Star, MacKind::Qma, 10.0, 400, 3);
-        let (_, c, ec) = run_once(Testbed::Star, MacKind::UnslottedCsma, 10.0, 400, 3);
-        println!(
-            "star: QMA={q:.3} CSMA={c:.3} energy {:.1} vs {:.1}",
-            eq.mean_mj, ec.mean_mj
-        );
-    }
-}
