@@ -232,7 +232,14 @@ fn killed_worker_and_daemon_recover_byte_identical() {
     // notice the death and the campaign must still converge.
     let pids = wait_for_worker_pids(&paths);
     sigkill(pids[0]);
-    std::thread::sleep(Duration::from_millis(300));
+    wait_for(
+        "status.json to drop the killed worker",
+        Duration::from_secs(30),
+        || {
+            std::fs::read_to_string(&paths.status)
+                .is_ok_and(|s| !worker_pids(&s).contains(&pids[0]))
+        },
+    );
 
     // Drill 2: SIGKILL the daemon itself — no destructors, no drain.
     daemon.kill().unwrap();
