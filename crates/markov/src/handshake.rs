@@ -17,9 +17,9 @@
 //!
 //! [`simulate_expected_messages`] runs the handshake directly with a
 //! random number generator; the integration tests use it to confirm
-//! the fundamental-matrix algebra. Note (recorded in EXPERIMENTS.md):
-//! the values annotated in the paper's Fig. 26 for small `p` do not
-//! follow from the paper's own Eq. 10 matrix; our exact computation
+//! the fundamental-matrix algebra. Note: the values annotated in the
+//! paper's Fig. 26 for small `p` do not follow from the paper's own
+//! Eq. 10 matrix; our exact computation
 //! and the Monte-Carlo simulation agree with each other and match the
 //! paper's annotations for large `p`.
 

@@ -6,7 +6,6 @@
 //! All transmissions go through the contention MAC (primary traffic
 //! over the CAP — the setting of §6.1 and §6.2).
 
-use qma_des::SimTime;
 use qma_netsim::{Address, AppInfo, Frame, NodeId, TxResult, UpperCtx, UpperLayer};
 
 use crate::traffic::TrafficPattern;
@@ -152,33 +151,10 @@ impl UpperLayer for CollectionApp {
     }
 }
 
-/// Builds the standard hidden-node workload of §6.1: nodes A (0) and
-/// C (2) send `limit`-packet Poisson flows at `rate` pkt/s to sink B
-/// (1), starting at t = 100 s.
-pub fn hidden_node_apps(rate: f64, limit: u64) -> impl Fn(NodeId) -> CollectionApp {
-    move |node| {
-        let sink = NodeId(1);
-        if node == sink {
-            CollectionApp::new(CollectionConfig::silent(None, sink))
-        } else {
-            CollectionApp::new(CollectionConfig {
-                pattern: TrafficPattern::Poisson {
-                    rate,
-                    start: SimTime::from_secs(100),
-                    limit: Some(limit),
-                },
-                next_hop: Some(sink),
-                sink,
-                payload_octets: 60,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qma_des::SimDuration;
+    use qma_des::{SimDuration, SimTime};
     use qma_mac::{CsmaConfig, CsmaMac};
     use qma_netsim::{FrameClock, SimBuilder};
     use qma_topo::Topology;

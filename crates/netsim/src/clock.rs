@@ -1,11 +1,11 @@
 //! The synchronized superframe clock.
 //!
 //! All nodes share one frame structure (the paper's DSME networks are
-//! beacon-synchronized; we assume ideal synchronisation and note the
-//! substitution in DESIGN.md). A frame of duration `frame` contains a
-//! contention window (`cap_offset`, `cap_len`) divided into `M`
-//! equal subslots — QMA's learning states. "For application in DSME,
-//! 8 CAP slots are further subdivided into 54 subslots" (§4).
+//! beacon-synchronized; we assume ideal synchronisation). A frame of
+//! duration `frame` contains a contention window (`cap_offset`,
+//! `cap_len`) divided into `M` equal subslots — QMA's learning
+//! states. "For application in DSME, 8 CAP slots are further
+//! subdivided into 54 subslots" (§4).
 //!
 //! Contention MACs (CSMA and QMA alike) may only touch the medium
 //! inside the CAP window.

@@ -1070,17 +1070,6 @@ impl<'a> MacCtx<'a> {
         &mut self.world.metrics
     }
 
-    /// Records an executed subslot action for the Fig. 13–15 maps.
-    pub fn record_slot_action(&mut self, subslot: u16, action: SlotAction) {
-        self.world.metrics.slot_action(self.node, subslot, action);
-    }
-
-    /// Is the medium busy right now at this node (instantaneous
-    /// energy detection, not the windowed CCA)?
-    pub fn medium_busy(&self) -> bool {
-        self.world.medium.is_busy(self.node.phy())
-    }
-
     /// Is this node currently transmitting?
     pub fn transmitting(&self) -> bool {
         self.world.medium.is_transmitting(self.node.phy())
@@ -1124,11 +1113,6 @@ impl<'a> UpperCtx<'a> {
             self.world.notices.push_back(Notice::MacEnqueued(self.node));
         }
         ok
-    }
-
-    /// Current queue length.
-    pub fn queue_len(&self) -> usize {
-        self.world.nodes.queue[self.node.index()].len()
     }
 
     /// Schedules [`UpperLayer::on_timer`] with `tag` after `delay`.
@@ -1265,7 +1249,6 @@ pub struct SimBuilder<M = Box<dyn MacProtocol>, U = Box<dyn UpperLayer>> {
     channels: u8,
     clock: FrameClock,
     phy: PhyTiming,
-    power: PowerProfile,
     queue_capacity: usize,
     seed: u64,
     mac_factory: Option<MacFactory<M>>,
@@ -1284,7 +1267,6 @@ impl SimBuilder {
             channels: 1,
             clock: FrameClock::dsme_so3(),
             phy: PhyTiming::oqpsk_2_4ghz(),
-            power: PowerProfile::default(),
             queue_capacity: 8,
             seed,
             mac_factory: None,
@@ -1316,12 +1298,6 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
         self
     }
 
-    /// Sets the per-state power profile for energy accounting.
-    pub fn power_profile(mut self, power: PowerProfile) -> Self {
-        self.power = power;
-        self
-    }
-
     /// Installs the MAC factory (required). The factory's return type
     /// selects the dispatch mode: a concrete type (enum) gives static
     /// dispatch, `Box<dyn MacProtocol>` the classic dynamic dispatch.
@@ -1335,7 +1311,6 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
             channels: self.channels,
             clock: self.clock,
             phy: self.phy,
-            power: self.power,
             queue_capacity: self.queue_capacity,
             seed: self.seed,
             mac_factory: Some(Box::new(f)),
@@ -1360,7 +1335,6 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
             channels: self.channels,
             clock: self.clock,
             phy: self.phy,
-            power: self.power,
             queue_capacity: self.queue_capacity,
             seed: self.seed,
             mac_factory: self.mac_factory,
@@ -1424,7 +1398,7 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
         let seeds = SeedSequence::new(self.seed);
         let nodes = Nodes {
             queue: (0..n).map(|_| TxQueue::new(self.queue_capacity)).collect(),
-            energy: vec![EnergyMeter::new(self.power); n],
+            energy: vec![EnergyMeter::new(PowerProfile::default()); n],
             in_flight: (0..n).map(|_| None).collect(),
             cca: (0..n).map(|_| None).collect(),
             cca_gen: vec![0; n],

@@ -99,7 +99,7 @@ mod tests {
     fn matches_paper_for_high_p() {
         // For p ≥ 0.7 drops are rare and all models agree with the
         // paper's annotations; for small p the paper's own Eq. 10
-        // matrix diverges from its Fig. 26 values (see EXPERIMENTS.md).
+        // matrix diverges from its Fig. 26 values.
         for r in rows(10_000, 2) {
             if r.p >= 0.7 {
                 assert!(

@@ -2,7 +2,7 @@
 //!
 //! The paper runs on physical M3 nodes; we reconstruct the two
 //! deployments geometrically and derive connectivity from the stated
-//! radio settings (substitution documented in DESIGN.md):
+//! radio settings:
 //!
 //! * **Tree** (Fig. 16): 10 nodes, depth 4, generated with the
 //!   Kauer-Turau topology-construction method at −9 dBm transmit
