@@ -11,7 +11,8 @@
 //!
 //! Options:
 //!
-//! * `--serial` — replications on one thread (bit-identical results),
+//! * `--serial` — pin the worker pool to one thread (bit-identical
+//!   results),
 //! * `--out-dir DIR` — artifact and fabric directory (default: the
 //!   working directory). Launch the same command on several processes
 //!   or hosts sharing `DIR`; they split the grid, survive each other's
@@ -49,12 +50,12 @@ use qma_bench::campaign::fabric::{quarantine_record_path, run_fabric_workers, Fa
 use qma_bench::campaign::grid::ConfigPoint;
 use qma_bench::campaign::spec::CampaignSpec;
 use qma_bench::campaign::{failure_report, FailedRep};
-use qma_bench::runner::Parallelism;
+use qma_bench::runner::pin_pool_to_one_thread;
 
 struct Args {
     specs: Vec<PathBuf>,
     out_dir: PathBuf,
-    mode: Parallelism,
+    serial: bool,
     dry_run: bool,
     rep_timeout: Option<Duration>,
     workers: usize,
@@ -67,7 +68,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut specs = Vec::new();
     let mut out_dir = PathBuf::from(".");
-    let mut mode = Parallelism::Rayon;
+    let mut serial = false;
     let mut dry_run = false;
     let mut rep_timeout = None;
     let mut workers = 1;
@@ -79,7 +80,7 @@ fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--serial" => mode = Parallelism::Serial,
+            "--serial" => serial = true,
             "--dry-run" => dry_run = true,
             "--out-dir" => {
                 out_dir = PathBuf::from(argv.next().ok_or("--out-dir needs a directory")?)
@@ -141,7 +142,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         specs,
         out_dir,
-        mode,
+        serial,
         dry_run,
         rep_timeout,
         workers,
@@ -209,7 +210,6 @@ fn run_spec(args: &Args, path: &Path) -> Result<usize, String> {
         heartbeat: args.heartbeat,
         lease_stale: args.lease_stale,
         rep_timeout: args.rep_timeout,
-        mode: args.mode,
         ..FabricConfig::default()
     };
     if let Some(id) = &args.worker_id {
@@ -262,6 +262,9 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if args.serial {
+        pin_pool_to_one_thread();
+    }
     let mut permanent = 0usize;
     for path in &args.specs {
         match run_spec(&args, path) {

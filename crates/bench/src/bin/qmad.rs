@@ -49,7 +49,7 @@ use std::time::Duration;
 
 use qma_bench::campaign::fabric::{run_fabric, FabricConfig};
 use qma_bench::campaign::spec::CampaignSpec;
-use qma_bench::runner::Parallelism;
+use qma_bench::runner::pin_pool_to_one_thread;
 use qma_bench::service::daemon::Daemon;
 use qma_bench::service::ServiceConfig;
 
@@ -113,7 +113,6 @@ fn run_worker(args: WorkerArgs) -> i32 {
         heartbeat: args.heartbeat,
         lease_stale: args.lease_stale,
         rep_timeout: args.rep_timeout,
-        mode: Parallelism::Serial,
         drain_flag: Some(args.drain_flag),
         ..FabricConfig::default()
     };
@@ -256,6 +255,9 @@ fn parse_daemon_args(mut argv: impl Iterator<Item = String>) -> Result<ServiceCo
 }
 
 fn main() {
+    // One replication thread per process: the fleet is the parallel
+    // axis. Spawned workers inherit the setting.
+    pin_pool_to_one_thread();
     let mut argv = std::env::args().skip(1).peekable();
     if argv.peek().map(String::as_str) == Some("--worker") {
         argv.next();

@@ -35,7 +35,7 @@
 //! * **Merge**: once every config is resolved (shard or quarantine),
 //!   any worker folds the shards **in grid order** into the campaign's
 //!   CSV/JSON artifacts — byte-identical whatever the worker count or
-//!   replication mode — and derives the failure report from the
+//!   pool width — and derives the failure report from the
 //!   quarantine set with deterministic `(config key, rep)` ordering.
 //!   The merge is idempotent; every worker may (and does) run it.
 
@@ -51,7 +51,6 @@ use super::durable::{fsync_dir, rename_durable};
 use super::grid::{fnv1a64, ConfigPoint};
 use super::spec::CampaignSpec;
 use super::{json_field, run_config, write_atomic, FailedRep};
-use crate::runner::Parallelism;
 
 /// Tuning knobs of one fabric worker.
 #[derive(Debug, Clone)]
@@ -81,8 +80,6 @@ pub struct FabricConfig {
     /// heartbeating (the process is alive), so only the watchdog can
     /// turn it into a failed attempt.
     pub rep_timeout: Option<Duration>,
-    /// Replication execution mode within one config.
-    pub mode: Parallelism,
     /// Lame-duck flag: when this file exists, the worker acquires no
     /// new leases — it finishes the config it holds (if any), flushes
     /// its shard, and returns with [`FabricOutcome::drained`] set
@@ -102,7 +99,6 @@ impl Default for FabricConfig {
             backoff_base: Duration::from_millis(25),
             backoff_cap: Duration::from_secs(2),
             rep_timeout: None,
-            mode: Parallelism::Serial,
             drain_flag: None,
         }
     }
@@ -934,7 +930,6 @@ pub fn run_fabric_workers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::failure_report;
 
     /// The engine's byte reference: `tests/golden/tiny.toml` and the
     /// artifacts it produced when they were committed.
@@ -1031,21 +1026,6 @@ skew_us = [0, -100000]
     }
 
     #[test]
-    fn serial_and_parallel_artifacts_agree() {
-        for (tag, mode) in [("ser", Parallelism::Serial), ("par", Parallelism::Rayon)] {
-            let dir = tmp_dir(tag);
-            let cfg = FabricConfig {
-                mode,
-                ..fast_cfg("w0")
-            };
-            let out = run_fabric(&tiny_spec(), &dir, &cfg, &|_| {}).unwrap();
-            assert_eq!(out.executed, 2, "{tag}");
-            assert_golden(&out);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    #[test]
     fn three_workers_split_the_grid_and_merge_identically() {
         let fabric_dir = tmp_dir("three");
         let out =
@@ -1059,7 +1039,6 @@ skew_us = [0, -100000]
     #[test]
     fn poisoned_config_is_quarantined_and_grid_completes() {
         let fabric_dir = tmp_dir("quarantine");
-        let rayon_dir = tmp_dir("quarantine-rayon");
         let spec = poisoned_spec("t");
         let mut cfg = fast_cfg("w0");
         cfg.max_attempts = 2;
@@ -1092,30 +1071,14 @@ skew_us = [0, -100000]
             "quarantine not narrated: {notes:?}"
         );
         // Header + exactly the healthy config's row.
-        let csv = std::fs::read(&out.csv_path).unwrap();
-        assert_eq!(String::from_utf8(csv.clone()).unwrap().lines().count(), 2);
-
-        // The failure is deterministic across execution modes: a
-        // rayon run reports the same rep, seed and message, and
-        // merges the same bytes.
-        let rayon_cfg = FabricConfig {
-            mode: Parallelism::Rayon,
-            ..cfg.clone()
-        };
-        let par = run_fabric(&spec, &rayon_dir, &rayon_cfg, &|_| {}).unwrap();
-        assert_eq!(
-            failure_report(&out.failures),
-            failure_report(&par.failures),
-            "serial and rayon failure reports must be identical"
-        );
-        assert_eq!(std::fs::read(&par.csv_path).unwrap(), csv);
+        let csv = std::fs::read_to_string(&out.csv_path).unwrap();
+        assert_eq!(csv.lines().count(), 2);
 
         // A later worker must not retry the quarantined config.
         let again = run_fabric(&spec, &fabric_dir, &fast_cfg("w1"), &|_| {}).unwrap();
         assert_eq!(again.executed, 0);
         assert_eq!(again.quarantined.len(), 1);
         let _ = std::fs::remove_dir_all(&fabric_dir);
-        let _ = std::fs::remove_dir_all(&rayon_dir);
     }
 
     #[test]

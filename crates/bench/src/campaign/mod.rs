@@ -37,7 +37,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use qma_scenarios::{run_scenario, RunMetrics, ScenarioParams};
 use rayon::prelude::*;
 
-use crate::runner::{panic_message, run_with_watchdog, Parallelism, WatchdogError};
+use crate::runner::{panic_message, run_with_watchdog, WatchdogError};
 use agg::ConfigAggregate;
 use fabric::FabricConfig;
 use grid::ConfigPoint;
@@ -60,9 +60,9 @@ pub struct FailedRep {
     pub message: String,
 }
 
-/// Runs every replication of one configuration and folds the results
-/// into a streaming aggregate (in replication order, so serial and
-/// parallel execution aggregate bit-identically).
+/// Runs every replication of one configuration on the worker pool and
+/// folds the results into a streaming aggregate in replication order,
+/// so the pool's width never changes a bit of it.
 ///
 /// Each replication runs under `catch_unwind`, so a panicking
 /// simulation (a chaos config blowing its past-clamp budget, say)
@@ -70,9 +70,8 @@ pub struct FailedRep {
 /// tearing down the campaign; with a [`FabricConfig::rep_timeout`]
 /// armed, the same holds for a replication that *hangs* (the
 /// watchdog detaches it and reports the seed). Failure selection is
-/// deterministic: results fold in replication order on both
-/// execution paths, so the reported failure is always the
-/// lowest-indexed panicking rep.
+/// deterministic: results fold in replication order, so the reported
+/// failure is always the lowest-indexed panicking rep.
 pub(crate) fn run_config(
     spec: &CampaignSpec,
     point: &ConfigPoint,
@@ -118,24 +117,14 @@ pub(crate) fn run_config(
             }
         }
     };
+    let metrics: Vec<Result<RunMetrics, FailedRep>> = (0..spec.replications)
+        .collect::<Vec<u64>>()
+        .into_par_iter()
+        .map(run_one)
+        .collect();
     let mut agg = ConfigAggregate::new();
-    match cfg.mode {
-        Parallelism::Serial => {
-            // Genuinely streaming: each record folds and drops.
-            for rep in 0..spec.replications {
-                agg.push(&run_one(rep)?);
-            }
-        }
-        Parallelism::Rayon => {
-            let metrics: Vec<Result<RunMetrics, FailedRep>> = (0..spec.replications)
-                .collect::<Vec<u64>>()
-                .into_par_iter()
-                .map(run_one)
-                .collect();
-            for m in metrics {
-                agg.push(&m?);
-            }
-        }
+    for m in metrics {
+        agg.push(&m?);
     }
     Ok(agg)
 }

@@ -1,31 +1,28 @@
-//! Benchmark harness utilities shared by the per-figure binaries.
+//! The experiment driver, the campaign engine and the campaign
+//! service of the QMA workspace.
 //!
-//! Every figure of the paper's evaluation has a binary
-//! (`fig07` … `fig26`, plus `table04`, `energy` and the `reproduce`
-//! driver) that regenerates the corresponding rows/series. Binaries
-//! honour these environment variables:
+//! The `reproduce` binary regenerates every table and figure of the
+//! paper's evaluation as one report, one section per id (`table04`,
+//! `fig07` … `fig26`, `energy`, `ablations`). It honours these
+//! environment variables:
 //!
-//! * `QMA_QUICK=1` — shrink replication counts/durations (same shape,
-//!   minutes instead of hours); this is the default,
-//! * `QMA_FULL=1` — run the paper-scale configuration,
+//! * `QMA_FULL=1` — run the paper-scale configuration; without it,
+//!   quick mode shrinks replication counts and durations (same
+//!   shape, seconds instead of a minute),
 //! * `QMA_SEED=n` — master seed (default 2021, the paper's year),
-//! * `RAYON_NUM_THREADS=n` — cap the replication fan-out (`1`
-//!   degenerates to a serial run with identical results).
+//! * `RAYON_NUM_THREADS=n` — the worker pool's width (default: every
+//!   core). Results are bit-identical at any width; `--serial` pins
+//!   it to one thread ([`runner::pin_pool_to_one_thread`]).
 //!
-//! The [`runner`] module is the workspace's parallel replication
-//! engine: a rayon fan-out over `configs × replications` where each
-//! replication draws an independent RNG stream derived from the
-//! master seed via [`qma_des::SeedSequence`], and results are
-//! collected in `(config, replication)` order — so aggregates are
-//! **bit-identical** between serial and parallel runs.
+//! The [`runner`] module holds that switch and the replication
+//! watchdog.
 //!
-//! The [`campaign`] module is the declarative sweep engine on top of
-//! it: the `campaign` binary expands a TOML spec (scenario ×
-//! parameter grid) into a deterministic config matrix, runs it as a
-//! lease-based fabric of one or more workers whose per-config shards
-//! make every run resumable, streams replication results into
-//! [`qma_stats`] accumulators and merges the shards into CSV/JSON
-//! artifacts.
+//! The [`campaign`] module is the declarative sweep engine: the
+//! `campaign` binary expands a TOML spec (scenario × parameter grid)
+//! into a deterministic config matrix, runs it as a lease-based
+//! fabric of one or more workers whose per-config shards make every
+//! run resumable, streams replication results into [`qma_stats`]
+//! accumulators and merges the shards into CSV/JSON artifacts.
 //!
 //! The [`service`] module is the standing layer above both: the
 //! `qmad` daemon supervises a crash-safe spec intake queue and a
@@ -41,7 +38,7 @@ pub mod campaign;
 pub mod runner;
 pub mod service;
 
-/// Master seed for experiment binaries.
+/// Master seed of the experiment driver (`QMA_SEED`, default 2021).
 pub fn seed() -> u64 {
     std::env::var("QMA_SEED")
         .ok()

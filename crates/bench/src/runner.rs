@@ -1,110 +1,22 @@
-//! The parallel replication runner.
+//! The worker pool's one setting, and replication isolation.
 //!
-//! Reproducing the paper's figures means running hundreds of
-//! independent DES replications (seeds × scenario configurations).
-//! [`run_replications`] fans these out over a rayon-style worker
-//! pool; determinism is preserved because
+//! Replications fan out over the rayon shim's worker pool, whose
+//! width is `RAYON_NUM_THREADS` (default: every core). Each
+//! replication's randomness is a pure function of the master seed,
+//! and the pool collects results in input order, so the width never
+//! changes a result. [`pin_pool_to_one_thread`] is what `--serial`
+//! sets.
 //!
-//! 1. every replication's randomness comes from a private
-//!    [`SeedSequence`] stream `root.derive(config).derive(rep)` —
-//!    a pure function of `(master_seed, config, rep)`, and
-//! 2. results are collected in `(config, rep)` order regardless of
-//!    which worker finished first,
-//!
-//! so a parallel run aggregates **bit-identically** to a serial one
-//! (`Parallelism::Serial`, or `RAYON_NUM_THREADS=1`).
+//! [`run_with_watchdog`] and [`panic_message`] turn a hung or a
+//! panicking replication into a reportable failure.
 
-use qma_des::SeedSequence;
-use rayon::prelude::*;
-
-/// How [`run_replications`] executes its jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// Plain loop on the calling thread.
-    Serial,
-    /// Rayon fan-out over all cores (still deterministic).
-    #[default]
-    Rayon,
-}
-
-impl Parallelism {
-    /// Parses `--serial` from a command line, defaulting to rayon.
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Parallelism {
-        if args.into_iter().any(|a| a == "--serial") {
-            Parallelism::Serial
-        } else {
-            Parallelism::Rayon
-        }
-    }
-}
-
-/// The replication results for one configuration, in replication
-/// order.
-#[derive(Debug, Clone)]
-pub struct ConfigRuns<C, R> {
-    /// The configuration the replications ran under.
-    pub config: C,
-    /// One result per replication, ordered by replication index.
-    pub runs: Vec<R>,
-}
-
-/// Runs `reps` replications of every configuration, fanning the
-/// `configs × reps` job grid out over the worker pool.
+/// Pins the worker pool to one thread, for this process and every
+/// process it spawns, by setting `RAYON_NUM_THREADS=1`.
 ///
-/// `f(config, rep, seeds)` receives the configuration, the
-/// replication index and a dedicated seed stream
-/// `SeedSequence::new(master_seed).derive(config_index).derive(rep)`.
-/// Results come back grouped by configuration, replications in
-/// order — identical for serial and parallel execution.
-///
-/// # Examples
-///
-/// ```
-/// use qma_bench::runner::{run_replications, Parallelism};
-///
-/// let par = run_replications(vec![2u64, 3], 4, 99, Parallelism::Rayon,
-///     |cfg, rep, seeds| cfg * rep + seeds.seed() % 7);
-/// let ser = run_replications(vec![2u64, 3], 4, 99, Parallelism::Serial,
-///     |cfg, rep, seeds| cfg * rep + seeds.seed() % 7);
-/// assert_eq!(par.len(), 2);
-/// assert_eq!(par[0].runs.len(), 4);
-/// for (p, s) in par.iter().zip(&ser) {
-///     assert_eq!(p.runs, s.runs); // bit-identical
-/// }
-/// ```
-pub fn run_replications<C, R, F>(
-    configs: Vec<C>,
-    reps: u64,
-    master_seed: u64,
-    mode: Parallelism,
-    f: F,
-) -> Vec<ConfigRuns<C, R>>
-where
-    C: Sync + Send,
-    R: Send,
-    F: Fn(&C, u64, SeedSequence) -> R + Sync,
-{
-    let root = SeedSequence::new(master_seed);
-    let jobs: Vec<(usize, u64)> = (0..configs.len())
-        .flat_map(|c| (0..reps).map(move |r| (c, r)))
-        .collect();
-    let run_one = |(c, r): (usize, u64)| {
-        let seeds = root.derive(c as u64).derive(r);
-        f(&configs[c], r, seeds)
-    };
-    let flat: Vec<R> = match mode {
-        Parallelism::Serial => jobs.into_iter().map(run_one).collect(),
-        Parallelism::Rayon => jobs.into_par_iter().map(run_one).collect(),
-    };
-
-    let mut flat = flat.into_iter();
-    configs
-        .into_iter()
-        .map(|config| ConfigRuns {
-            config,
-            runs: flat.by_ref().take(reps as usize).collect(),
-        })
-        .collect()
+/// Call it at the top of `main`, before any thread exists: setting
+/// an environment variable races with reads on other threads.
+pub fn pin_pool_to_one_thread() {
+    std::env::set_var("RAYON_NUM_THREADS", "1");
 }
 
 /// Why [`run_with_watchdog`] produced no result.
@@ -175,67 +87,6 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn groups_by_config_in_order() {
-        let out = run_replications(
-            vec!["a", "b", "c"],
-            3,
-            7,
-            Parallelism::Rayon,
-            |cfg, rep, _| format!("{cfg}{rep}"),
-        );
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[1].config, "b");
-        assert_eq!(out[1].runs, vec!["b0", "b1", "b2"]);
-    }
-
-    #[test]
-    fn serial_and_parallel_agree_exactly() {
-        let work = |cfg: &u64, rep: u64, seeds: SeedSequence| {
-            // Mix the seed into a float the way a simulation would, so
-            // any ordering difference would show in the aggregate sum.
-            (seeds.seed() % 1000) as f64 / (cfg + rep + 1) as f64
-        };
-        let a = run_replications(vec![1u64, 2, 3], 16, 2021, Parallelism::Serial, work);
-        let b = run_replications(vec![1u64, 2, 3], 16, 2021, Parallelism::Rayon, work);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.runs, y.runs);
-        }
-        let sum_a: f64 = a.iter().flat_map(|g| &g.runs).sum();
-        let sum_b: f64 = b.iter().flat_map(|g| &g.runs).sum();
-        assert_eq!(
-            sum_a.to_bits(),
-            sum_b.to_bits(),
-            "aggregate must be bit-identical"
-        );
-    }
-
-    #[test]
-    fn streams_are_independent_of_sibling_configs() {
-        // Adding a config must not change the streams of existing
-        // ones (hierarchical derivation, not a shared counter).
-        let grab = |configs: Vec<u32>| {
-            run_replications(configs, 2, 5, Parallelism::Serial, |_, _, s| s.seed())
-        };
-        let two = grab(vec![10, 20]);
-        let three = grab(vec![10, 20, 30]);
-        assert_eq!(two[0].runs, three[0].runs);
-        assert_eq!(two[1].runs, three[1].runs);
-    }
-
-    #[test]
-    fn from_args_parses_serial() {
-        assert_eq!(
-            Parallelism::from_args(vec!["--serial".to_string()]),
-            Parallelism::Serial
-        );
-        assert_eq!(
-            Parallelism::from_args(vec!["--quick".to_string()]),
-            Parallelism::Rayon
-        );
-        assert_eq!(Parallelism::from_args(Vec::new()), Parallelism::Rayon);
-    }
 
     #[test]
     fn panic_message_covers_both_payload_shapes() {

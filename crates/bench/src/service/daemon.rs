@@ -23,7 +23,6 @@ use std::time::{Duration, Instant};
 use crate::campaign::durable::write_atomic;
 use crate::campaign::fabric::{run_fabric, FabricConfig};
 use crate::campaign::spec::CampaignSpec;
-use crate::runner::Parallelism;
 
 use super::intake::{admit, claim_next};
 use super::journal::{CampaignState, Journal};
@@ -477,7 +476,6 @@ impl Daemon {
             heartbeat: self.cfg.heartbeat,
             lease_stale: self.cfg.lease_stale,
             rep_timeout: self.cfg.rep_timeout,
-            mode: Parallelism::Serial,
             ..FabricConfig::default()
         };
         let log = std::sync::Mutex::new(&mut self.log);

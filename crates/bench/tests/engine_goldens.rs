@@ -1,7 +1,8 @@
 //! The simulation engine's byte reference at campaign level. Each
-//! `tests/golden/engine_*.toml` spec, run serially and in parallel,
-//! must reproduce the committed `engine_*.csv` and `engine_*.json`
-//! next to it byte for byte.
+//! `tests/golden/engine_*.toml` spec must reproduce the committed
+//! `engine_*.csv` and `engine_*.json` next to it byte for byte.
+//! `fabric_process.rs` checks the same at one and at four pool
+//! threads.
 //!
 //! The files were generated by the per-tick engine, which scheduled
 //! one event per subslot tick and fired a boundary's ticks in arming
@@ -16,33 +17,26 @@ use std::path::PathBuf;
 
 use qma_bench::campaign::fabric::{run_fabric, FabricConfig};
 use qma_bench::campaign::spec::CampaignSpec;
-use qma_bench::runner::Parallelism;
 
-/// Runs `tests/golden/<name>.toml` in `mode` and compares both
-/// artifacts with the committed files.
+/// Runs `tests/golden/<name>.toml` and compares both artifacts with
+/// the committed files.
 fn assert_matches_golden(name: &str, spec_text: &str, csv: &str, json: &str) {
     let spec = CampaignSpec::parse(spec_text).unwrap();
-    for mode in [Parallelism::Serial, Parallelism::Rayon] {
-        let dir: PathBuf =
-            std::env::temp_dir().join(format!("qma-golden-{name}-{mode:?}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = FabricConfig {
-            mode,
-            ..FabricConfig::default()
-        };
-        let out = run_fabric(&spec, &dir, &cfg, &|_| {}).expect("campaign runs");
-        let got_csv = std::fs::read_to_string(&out.csv_path).unwrap();
-        let got_json = std::fs::read_to_string(&out.json_path).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(
-            got_csv, csv,
-            "{name} ({mode:?}): CSV differs from tests/golden/{name}.csv"
-        );
-        assert_eq!(
-            got_json, json,
-            "{name} ({mode:?}): JSON differs from tests/golden/{name}.json"
-        );
-    }
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("qma-golden-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = run_fabric(&spec, &dir, &FabricConfig::default(), &|_| {}).expect("campaign runs");
+    let got_csv = std::fs::read_to_string(&out.csv_path).unwrap();
+    let got_json = std::fs::read_to_string(&out.json_path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        got_csv, csv,
+        "{name}: CSV differs from tests/golden/{name}.csv"
+    );
+    assert_eq!(
+        got_json, json,
+        "{name}: JSON differs from tests/golden/{name}.json"
+    );
 }
 
 macro_rules! golden_test {

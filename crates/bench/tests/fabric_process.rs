@@ -6,7 +6,9 @@
 //! permanently failing spec through a child worker and checks the
 //! quarantine exit contract (non-zero exit, reproduction seed and
 //! quarantine record printed, grid still completed). A third checks
-//! that deleted flags are refused before any work starts.
+//! that deleted flags are refused before any work starts, and a
+//! fourth that `--serial` and a four-thread pool give the same bytes
+//! and the same failure report.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -69,11 +71,14 @@ fn write_spec(dir: &Path, name: &str, text: &str) -> PathBuf {
     path
 }
 
+/// Spawns a `campaign` worker. Without `--serial` in `extra` its pool
+/// runs four threads, set on the child so that it fans out on any
+/// host; `--serial` pins it to one.
 fn spawn_worker(spec: &Path, fabric_dir: &Path, extra: &[&str]) -> Child {
     Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .env("RAYON_NUM_THREADS", "4")
         .arg("--out-dir")
         .arg(fabric_dir)
-        .arg("--serial")
         .args(extra)
         .arg(spec)
         .stdout(Stdio::piped())
@@ -95,7 +100,7 @@ fn killed_worker_is_reclaimed_and_merge_stays_byte_identical() {
     let mut victim = spawn_worker(
         &spec_path,
         &fabric_dir,
-        &["--worker-id", "victim", "--heartbeat-ms", "25"],
+        &["--serial", "--worker-id", "victim", "--heartbeat-ms", "25"],
     );
 
     // Wait for the victim to lease its first config, then kill -9.
@@ -178,7 +183,11 @@ fn quarantined_campaign_exits_nonzero_with_reproduction_seed() {
     let spec_path = write_spec(&work, "poison.toml", POISON_SPEC);
     let fabric_dir = work.join("out");
 
-    let child = spawn_worker(&spec_path, &fabric_dir, &["--max-attempts", "2"]);
+    let child = spawn_worker(
+        &spec_path,
+        &fabric_dir,
+        &["--serial", "--max-attempts", "2"],
+    );
     let output = child.wait_with_output().unwrap();
     let stdout = String::from_utf8_lossy(&output.stdout);
     let stderr = String::from_utf8_lossy(&output.stderr);
@@ -274,5 +283,56 @@ fn deleted_flags_are_refused_before_any_work() {
             );
         }
     }
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+#[test]
+fn serial_and_pool_runs_match_golden_and_fail_alike() {
+    let work = tmp_dir("pool");
+    let golden = write_spec(
+        &work,
+        "engine_hidden.toml",
+        include_str!("golden/engine_hidden.toml"),
+    );
+    let poison = write_spec(&work, "poison.toml", POISON_SPEC);
+    let mut reports = Vec::new();
+    for (tag, mode) in [("serial", &["--serial"][..]), ("pool", &[])] {
+        let out_dir = work.join(tag);
+        let run = |spec: &Path, more: &[&str]| {
+            let child = spawn_worker(spec, &out_dir, &[mode, more].concat());
+            child.wait_with_output().unwrap()
+        };
+        let output = run(&golden, &[]);
+        assert!(
+            output.status.success(),
+            "{tag}: campaign failed\nstderr:\n{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        for (ext, want) in [
+            ("csv", include_str!("golden/engine_hidden.csv")),
+            ("json", include_str!("golden/engine_hidden.json")),
+        ] {
+            let got = std::fs::read_to_string(out_dir.join(format!("engine_hidden.{ext}")));
+            assert_eq!(
+                got.unwrap(),
+                want,
+                "{tag}: differs from tests/golden/engine_hidden.{ext}"
+            );
+        }
+
+        let output = run(&poison, &["--max-attempts", "2"]);
+        assert_eq!(output.status.code(), Some(1), "{tag}: quarantine exits 1");
+        let failed: Vec<String> = String::from_utf8_lossy(&output.stderr)
+            .lines()
+            .filter(|l| l.starts_with("# FAILED"))
+            .map(str::to_string)
+            .collect();
+        assert!(!failed.is_empty(), "{tag}: no # FAILED line");
+        reports.push(failed);
+    }
+    assert_eq!(
+        reports[0], reports[1],
+        "--serial and the pool must report the same failures"
+    );
     let _ = std::fs::remove_dir_all(&work);
 }

@@ -2,7 +2,7 @@
 //! paper's evaluation (§6 and Appendix A).
 //!
 //! Each module owns one experiment family and returns *structured*
-//! results; the `qma-bench` binaries print them in the paper's
+//! results; `qma-bench`'s `reproduce` prints them in the paper's
 //! table/series shapes, and the workspace integration tests assert
 //! their qualitative claims (who wins, by roughly what factor).
 //!

@@ -63,7 +63,7 @@
 //! ```
 //!
 //! See `examples/` for runnable programs and `crates/bench` for the
-//! experiment binaries (`fig07` … `fig26`, `reproduce`).
+//! experiment driver (`reproduce`, one report section per figure).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
