@@ -94,6 +94,7 @@ impl ExplorationTable {
     /// `local − neighbour_average`, clamped to the table range.
     /// Negative differences yield 0 ("give neighbouring nodes a
     /// chance to allocate additional slots").
+    #[inline]
     pub fn rho(&self, queue_diff: i32) -> f64 {
         if queue_diff < 0 {
             return if self.table.len() == 1 {

@@ -257,7 +257,14 @@ impl<Q: QValue> QTable<Q> {
         next_subslot: u16,
         params: &UpdateParams,
     ) -> Q {
-        let qmax_next = self.qmax(next_subslot % self.subslots);
+        // The MAC always passes an in-range subslot; the wrap (and its
+        // division) is only for callers that pass `m + 1` at the end.
+        let next = if next_subslot < self.subslots {
+            next_subslot
+        } else {
+            next_subslot % self.subslots
+        };
+        let qmax_next = self.qmax(next);
         let row = self.row(subslot);
         let cell = &row.q[action.index()];
         let q_old = cell.get();

@@ -10,10 +10,7 @@
 //! for tests and exotic MACs without giving up the enum on the hot
 //! path.
 
-use qma_netsim::{
-    Frame, FrameClock, LearnerSample, MacCtx, MacProtocol, MacTimerKind, SlotAction, TickPlan,
-    TickView,
-};
+use qma_netsim::{Frame, FrameClock, LearnerSample, MacCtx, MacProtocol, MacTimerKind, SlotAction};
 
 use crate::csma::{CsmaConfig, CsmaMac};
 use crate::qma_mac::{QmaMac, QmaMacConfig};
@@ -145,24 +142,6 @@ impl MacProtocol for MacImpl {
             MacImpl::Qma(m) => m.policy_snapshot(),
             MacImpl::Csma(m) => m.policy_snapshot(),
             MacImpl::Custom(m) => m.policy_snapshot(),
-        }
-    }
-
-    #[inline]
-    fn supports_split_tick(&self) -> bool {
-        match self {
-            MacImpl::Qma(m) => m.supports_split_tick(),
-            MacImpl::Csma(m) => m.supports_split_tick(),
-            MacImpl::Custom(m) => m.supports_split_tick(),
-        }
-    }
-
-    #[inline]
-    fn subslot_decide(&mut self, view: &mut TickView<'_>) -> Option<TickPlan> {
-        match self {
-            MacImpl::Qma(m) => m.subslot_decide(view),
-            MacImpl::Csma(m) => m.subslot_decide(view),
-            MacImpl::Custom(m) => m.subslot_decide(view),
         }
     }
 }

@@ -14,6 +14,10 @@
 //! * **QSend** — transmit from the subslot start (the radio is kept
 //!   armed; this is what lets a concurrent QCCA detect it, Table 4).
 //!
+//! Each boundary's tick is one pass over the node's state: it
+//! completes the pending QBackoff, re-arms (or parks), decides and
+//! starts the action, all through [`MacCtx`].
+//!
 //! Unlike CSMA/CA there is **no** drop after backoffs — "QMA's main
 //! idea is to synchronize transmission times which might require
 //! several backoffs" — but the retransmission limit N_R applies.
@@ -27,7 +31,7 @@ use qma_des::SimDuration;
 
 use qma_netsim::{
     Frame, FrameClock, LearnerSample, MacCtx, MacProtocol, MacTimerKind, NodeId, SlotAction,
-    TickAction, TickPlan, TickView, TxResult,
+    TxResult,
 };
 
 use crate::consts::MAC_MAX_FRAME_RETRIES;
@@ -113,9 +117,10 @@ impl QmaShared {
 ///
 /// Holds only per-node state the subslot tick works on: the agent
 /// (a shared configuration, a view of the world's Q arena and its own
-/// counters), the phase machine and the tick cache. The frame clock is
-/// the world's, read through [`MacCtx`] and [`TickView`]; the receiver
-/// state, which no tick reads, lives out of line.
+/// counters), the phase machine and the tick cache. A tick reads and
+/// acts on the world through [`MacCtx`] alone, in one pass: the frame
+/// clock is the world's, and the receiver state, which no tick reads,
+/// lives out of line.
 pub struct QmaMac {
     /// N_R from [`QmaMacConfig::max_retries`]; the agent keeps the
     /// rest of the configuration.
@@ -227,25 +232,14 @@ impl QmaMac {
         self.phase = Phase::Quiet;
     }
 
-    /// One subslot tick: the node-local decision followed immediately
-    /// by its world commit. [`MacProtocol::subslot_decide`] exposes
-    /// the decision half on its own, so both paths run this exact
-    /// code and cannot diverge.
+    /// One subslot tick (paper Algorithm 1): evaluate the pending
+    /// QBackoff, park or re-arm, then pick and start this subslot's
+    /// action, all through `ctx`. The re-arm goes before the action,
+    /// so a CCA's or a transmission's scheduler event follows the
+    /// boundary sweep the re-arm may schedule.
     fn subslot_tick(&mut self, ctx: &mut MacCtx<'_>) {
-        let plan = {
-            let mut view = ctx.tick_view();
-            self.decide_tick(&mut view)
-        };
-        ctx.apply_tick_plan(plan);
-    }
-
-    /// The node-local half of the subslot tick (paper Algorithm 1):
-    /// evaluate the pending QBackoff, park or re-arm, and pick this
-    /// subslot's action. Touches only `self` and the [`TickView`] —
-    /// no scheduler, no medium mutation.
-    fn decide_tick(&mut self, view: &mut TickView<'_>) -> TickPlan {
-        let now = view.now();
-        let clock = view.clock();
+        let now = ctx.now();
+        let clock = ctx.clock();
         // Hot path: the tick fires exactly at the boundary cached when
         // the timer was armed, so position and successor come from the
         // cache (pure adds/multiplies). The clock lookup remains as a
@@ -279,12 +273,10 @@ impl QmaMac {
         // itself, so stop ticking; `on_enqueue` re-arms at the next
         // boundary (strictly after the enqueue instant — exactly where
         // a continuously ticking MAC would next act).
-        if self.phase == Phase::Quiet && view.queue().is_empty() && !view.transmitting() {
+        if self.phase == Phase::Quiet && ctx.queue().is_empty() && !ctx.transmitting() {
             self.tick_armed = false;
-            return TickPlan {
-                rearm: None,
-                action: None,
-            };
+            ctx.park_subslot_tick();
+            return;
         }
 
         // Keep ticking while anything is pending; a re-arm only sets
@@ -292,72 +284,53 @@ impl QmaMac {
         // no scheduler event.
         self.tick_at = next;
         self.tick_armed = true;
-        let rearm = Some(next);
+        ctx.set_subslot_timer_at(next.0, next.1, next.2);
 
         let Some(m) = subslot else {
-            return TickPlan {
-                rearm,
-                action: None,
-            }; // outside the CAP (beacon slot)
+            return; // outside the CAP (beacon slot)
         };
-        if self.phase != Phase::Quiet || view.transmitting() {
-            return TickPlan {
-                rearm,
-                action: None,
-            }; // transaction (or our ACK) in progress
+        if self.phase != Phase::Quiet || ctx.transmitting() {
+            return; // transaction (or our ACK) in progress
         }
-        if view.queue().is_empty() {
-            return TickPlan {
-                rearm,
-                action: None,
-            }; // Algorithm 1: act only with a non-empty queue
+        if ctx.queue().is_empty() {
+            return; // Algorithm 1: act only with a non-empty queue
         }
         // On the cached boundary we are at a subslot start, hence in
         // the CAP, and the frame's CAP end follows from the cached
         // frame index without a single division.
+        let clock = ctx.clock();
         let fits = if on_boundary {
             self.tx_fits_before(
-                view.queue(),
-                view.phy(),
+                ctx.queue(),
+                ctx.phy(),
                 now,
                 clock.cap_end_of_frame(frame_index),
             )
         } else {
             clock.in_cap(now)
-                && self.tx_fits_before(view.queue(), view.phy(), now, clock.cap_end(now))
+                && self.tx_fits_before(ctx.queue(), ctx.phy(), now, clock.cap_end(now))
         };
         if !fits {
-            return TickPlan {
-                rearm,
-                action: None,
-            }; // too close to the CAP end; observe only
+            return; // too close to the CAP end; observe only
         }
 
-        let diff = view.queue_diff();
-        let decision = self.agent.decide(m, diff, view.rng());
-        let action = match decision.action {
+        let diff = ctx.queue_diff();
+        let decision = self.agent.decide(m, diff, ctx.rng());
+        let node = ctx.node;
+        match decision.action {
             QmaAction::Backoff => {
                 self.phase = Phase::BackoffPending;
-                TickAction::Backoff { subslot: m }
+                ctx.metrics().slot_action(node, m, SlotAction::Backoff);
             }
             QmaAction::Cca => {
                 self.phase = Phase::CcaPending;
-                TickAction::Cca { subslot: m }
+                ctx.metrics().slot_action(node, m, SlotAction::Cca);
+                ctx.start_cca();
             }
             QmaAction::Send => {
-                let frame = view
-                    .queue()
-                    .head()
-                    .expect("transmit without head frame")
-                    .frame
-                    .clone();
-                self.phase = Phase::TxInFlight { via_cca: false };
-                TickAction::Send { subslot: m, frame }
+                ctx.metrics().slot_action(node, m, SlotAction::Tx);
+                self.transmit_head(ctx, false);
             }
-        };
-        TickPlan {
-            rearm,
-            action: Some(action),
         }
     }
 }
@@ -557,14 +530,6 @@ impl MacProtocol for QmaMac {
                 })
                 .collect(),
         )
-    }
-
-    fn supports_split_tick(&self) -> bool {
-        true
-    }
-
-    fn subslot_decide(&mut self, view: &mut TickView<'_>) -> Option<TickPlan> {
-        Some(self.decide_tick(view))
     }
 }
 

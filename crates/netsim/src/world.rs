@@ -18,9 +18,9 @@ use qma_phy::{
 };
 
 use crate::clock::FrameClock;
-use crate::frame::Frame;
+use crate::frame::{Address, Frame};
 use crate::metrics::{LearnerSample, MetricsHub, SlotAction, TxResult};
-use crate::queue::TxQueue;
+use crate::queue::{HeadInfo, TxQueue};
 
 /// Identifier of a simulated node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -221,14 +221,39 @@ impl ActiveSet {
 /// (entries for non-neighbours could never be written anyway).
 #[derive(Debug, Clone)]
 struct NeighborLevels {
-    /// Row `r` spans `ids[offsets[r]..offsets[r+1]]`.
+    /// Row `r` spans `entries[offsets[r]..offsets[r+1]]`.
     offsets: Vec<u32>,
-    /// In-neighbour ids, ascending within each row.
-    ids: Vec<u32>,
-    /// Last piggybacked `(queue level, heard at)` per in-neighbour;
-    /// parallel to `ids`. `None` until the first audible frame.
-    levels: Vec<Option<(u8, SimTime)>>,
+    /// One entry per in-neighbour, ascending by id within each row.
+    entries: Vec<LevelEntry>,
 }
+
+/// What a node last heard one in-neighbour piggyback: 16 B, so a row
+/// search and the level it finds share one array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LevelEntry {
+    /// The in-neighbour's id.
+    id: u32,
+    /// Whether any frame of it was heard yet; `level` and `at` are
+    /// meaningless until then.
+    heard: bool,
+    /// The last piggybacked queue level.
+    level: u8,
+    /// When it was heard.
+    at: SimTime,
+}
+
+impl LevelEntry {
+    /// `(level, heard at)`, or `None` before the first audible frame.
+    #[inline]
+    fn level(&self) -> Option<(u8, SimTime)> {
+        self.heard.then_some((self.level, self.at))
+    }
+}
+
+/// "No CSR position": the head frame is not unicast, the queue is
+/// empty, or its addressee is not an in-neighbour (see
+/// [`NeighborLevels::partner_slot`]).
+const NO_SLOT: u32 = u32::MAX;
 
 impl NeighborLevels {
     /// Builds the table by inverting the connectivity's listener rows
@@ -249,22 +274,24 @@ impl NeighborLevels {
             acc += d;
             offsets.push(acc);
         }
-        let mut ids = vec![0u32; acc as usize];
+        let unheard = LevelEntry {
+            id: 0,
+            heard: false,
+            level: 0,
+            at: SimTime::ZERO,
+        };
+        let mut entries = vec![unheard; acc as usize];
         let mut fill = offsets.clone();
         // Iterating transmitters in ascending order fills each row in
         // ascending id order.
         for t in 0..n {
             for &r in conn.listeners(PhyNodeId(t as u32)) {
                 let pos = &mut fill[r.index()];
-                ids[*pos as usize] = t as u32;
+                entries[*pos as usize].id = t as u32;
                 *pos += 1;
             }
         }
-        NeighborLevels {
-            offsets,
-            ids,
-            levels: vec![None; acc as usize],
-        }
+        NeighborLevels { offsets, entries }
     }
 
     #[inline]
@@ -272,30 +299,59 @@ impl NeighborLevels {
         self.offsets[r] as usize..self.offsets[r + 1] as usize
     }
 
+    /// The CSR position of `src` in `rx`'s row, if `rx` can hear it.
+    #[inline]
+    fn slot(&self, rx: usize, src: u32) -> Option<usize> {
+        let range = self.row(rx);
+        self.entries[range.clone()]
+            .binary_search_by_key(&src, |e| e.id)
+            .ok()
+            .map(|pos| range.start + pos)
+    }
+
+    /// The CSR position in `rx`'s row of the node a head frame `head`
+    /// is addressed to, or [`NO_SLOT`] for a broadcast head, an empty
+    /// queue or an addressee `rx` cannot hear. The world keeps it per
+    /// node (`Nodes::partner`), refreshed whenever the head changes,
+    /// so a subslot tick reads the partner's level without a search.
+    fn partner_slot(&self, rx: usize, head: Option<HeadInfo>) -> u32 {
+        match head.map(|h| h.dst) {
+            Some(Address::Node(dst)) => self.slot(rx, dst.0).map_or(NO_SLOT, |s| s as u32),
+            _ => NO_SLOT,
+        }
+    }
+
     /// Records that `rx` heard `src` advertise `level` at `t`.
     #[inline]
     fn set(&mut self, rx: usize, src: u32, level: u8, t: SimTime) {
-        let range = self.row(rx);
-        if let Ok(pos) = self.ids[range.clone()].binary_search(&src) {
-            self.levels[range.start + pos] = Some((level, t));
+        if let Some(slot) = self.slot(rx, src) {
+            let entry = &mut self.entries[slot];
+            entry.heard = true;
+            entry.level = level;
+            entry.at = t;
         }
     }
 
     /// The last level `rx` heard from `src`, if any.
     #[inline]
     fn get(&self, rx: usize, src: u32) -> Option<(u8, SimTime)> {
-        let range = self.row(rx);
-        match self.ids[range.clone()].binary_search(&src) {
-            Ok(pos) => self.levels[range.start + pos],
-            Err(_) => None,
-        }
+        self.slot(rx, src)
+            .and_then(|slot| self.entries[slot].level())
+    }
+
+    /// The last level heard at CSR position `slot`, if any; `None` for
+    /// [`NO_SLOT`] too, as [`NeighborLevels::get`] answers for a node
+    /// outside the row.
+    #[inline]
+    fn at_slot(&self, slot: u32) -> Option<(u8, SimTime)> {
+        self.entries.get(slot as usize).and_then(LevelEntry::level)
     }
 
     /// The fresh-level fold input: `rx`'s per-in-neighbour entries in
     /// ascending id order.
     #[inline]
-    fn entries(&self, rx: usize) -> &[Option<(u8, SimTime)>] {
-        &self.levels[self.row(rx)]
+    fn entries(&self, rx: usize) -> &[LevelEntry] {
+        &self.entries[self.row(rx)]
     }
 }
 
@@ -308,6 +364,9 @@ impl NeighborLevels {
 #[derive(Debug)]
 struct Nodes {
     queue: Vec<TxQueue>,
+    /// [`NeighborLevels::partner_slot`] of each queue's head, set
+    /// wherever the head changes.
+    partner: Vec<u32>,
     energy: Vec<EnergyMeter>,
     in_flight: Vec<Option<(TxToken, Frame, TxOrigin)>>,
     cca: Vec<Option<CcaState>>,
@@ -415,12 +474,23 @@ impl Nodes {
     }
 }
 
-/// The `queue_diff` fold shared by [`MacCtx::queue_diff`] and
-/// [`TickView::queue_diff`]: one implementation, so a subslot decision
-/// sees exactly what every other MAC callback sees. See
-/// [`MacCtx::queue_diff`] for the semantics.
-fn queue_diff_value(now: SimTime, i: usize, queue: &TxQueue, levels: &NeighborLevels) -> i32 {
+/// The `queue_diff` fold behind [`MacCtx::queue_diff`] for node `i`,
+/// whose head frame's partner sits at CSR position `partner` (see
+/// [`NeighborLevels::partner_slot`]). See [`MacCtx::queue_diff`] for
+/// the semantics.
+fn queue_diff_value(
+    now: SimTime,
+    i: usize,
+    queue: &TxQueue,
+    partner: u32,
+    levels: &NeighborLevels,
+) -> i32 {
     let local = queue.len() as i64;
+    debug_assert_eq!(
+        partner,
+        levels.partner_slot(i, queue.head_info()),
+        "stale partner slot of node {i}"
+    );
 
     // Prefer the communication partner's level: the node the
     // head-of-line frame is addressed to is the one whose service
@@ -430,35 +500,35 @@ fn queue_diff_value(now: SimTime, i: usize, queue: &TxQueue, levels: &NeighborLe
     // §4.2; in multi-hop trees it directs exploration pressure
     // down the forwarding chain instead of averaging it away
     // across saturated siblings.
-    if let Some(head) = queue.head_info() {
-        if let crate::frame::Address::Node(dst) = head.dst {
-            if let Some((level, at)) = levels.get(i, dst.0) {
-                if now.since(at) <= NEIGHBOR_LEVEL_TTL {
-                    return (local - i64::from(level)) as i32;
-                }
+    if let Some(HeadInfo {
+        dst: Address::Node(_),
+        ..
+    }) = queue.head_info()
+    {
+        if let Some((level, at)) = levels.at_slot(partner) {
+            if now.since(at) <= NEIGHBOR_LEVEL_TTL {
+                return (local - i64::from(level)) as i32;
             }
-            // Partner unknown or stale: treat as empty (the sink
-            // before its first frame, or a silent neighbour).
-            return local as i32;
         }
+        // Partner unknown or stale: treat as empty (the sink before
+        // its first frame, or a silent neighbour).
+        return local as i32;
     }
 
     // Broadcast head or empty queue: fall back to the average
     // over fresh neighbour reports — a single allocation-free
     // pass over this node's CSR level row (same ascending-id
     // order as the dense table it replaced).
-    let (sum, count) =
-        levels
-            .entries(i)
-            .iter()
-            .flatten()
-            .fold((0i64, 0i64), |(sum, count), &(level, at)| {
-                if now.since(at) <= NEIGHBOR_LEVEL_TTL {
-                    (sum + i64::from(level), count + 1)
-                } else {
-                    (sum, count)
-                }
-            });
+    let (sum, count) = levels.entries(i).iter().filter_map(LevelEntry::level).fold(
+        (0i64, 0i64),
+        |(sum, count), (level, at)| {
+            if now.since(at) <= NEIGHBOR_LEVEL_TTL {
+                (sum + i64::from(level), count + 1)
+            } else {
+                (sum, count)
+            }
+        },
+    );
     if count == 0 {
         return local as i32;
     }
@@ -599,9 +669,8 @@ impl World {
     }
 
     /// Arms `node`'s subslot tick for the boundary `(frame_index,
-    /// subslot)` at `at` — the shared backend of
-    /// [`MacCtx::set_subslot_timer_at`] and the tick-plan commit.
-    /// Any earlier tick of the node becomes a no-op. The new one joins
+    /// subslot)` at `at` — the backend of
+    /// [`MacCtx::set_subslot_timer_at`]. Any earlier tick of the node becomes a no-op. The new one joins
     /// the pending sweep if that sweep is for this boundary, or
     /// schedules the sweep if none is pending and this boundary has
     /// not been swept yet; otherwise it takes the heap (see
@@ -648,11 +717,10 @@ impl World {
         );
     }
 
-    /// Starts a CCA for `node` — the shared backend of
-    /// [`MacCtx::start_cca`] and the tick-plan commit. The initial
-    /// energy snapshot reads the medium at commit time, so it observes
-    /// exactly the transmissions that earlier events at the same
-    /// instant already started.
+    /// Starts a CCA for `node` — the backend of [`MacCtx::start_cca`].
+    /// The initial energy snapshot reads the medium now, so it
+    /// observes exactly the transmissions that earlier events at the
+    /// same instant already started.
     fn start_cca_internal(&mut self, node: NodeId, sched: &mut Scheduler<Event>) {
         let now = sched.now();
         let i = node.index();
@@ -668,40 +736,20 @@ impl World {
         sched.schedule_at(now + dur, Event::CcaEnd { node, gen });
     }
 
-    /// Commits a [`TickPlan`]: re-arm (or park) the subslot tick, then
-    /// execute the decided action. The order — rearm before action —
-    /// fixes the scheduler sequence numbers, and with them every
-    /// future tie-break.
-    fn commit_tick_plan(&mut self, node: NodeId, plan: TickPlan, sched: &mut Scheduler<Event>) {
-        match plan.rearm {
-            Some((at, frame_index, subslot)) => {
-                self.arm_subslot_tick(node, at, frame_index, subslot, sched);
-            }
-            None => self.nodes.tick_armed.set(node.index(), false),
-        }
-        match plan.action {
-            None => {}
-            Some(TickAction::Backoff { subslot }) => {
-                self.metrics.slot_action(node, subslot, SlotAction::Backoff);
-            }
-            Some(TickAction::Cca { subslot }) => {
-                self.metrics.slot_action(node, subslot, SlotAction::Cca);
-                self.start_cca_internal(node, sched);
-            }
-            Some(TickAction::Send { subslot, frame }) => {
-                self.metrics.slot_action(node, subslot, SlotAction::Tx);
-                self.start_tx_internal(node, frame, 0, TxOrigin::Mac, sched);
-            }
-        }
+    /// Re-reads node `i`'s partner slot after its queue head changed.
+    #[inline]
+    fn refresh_partner(&mut self, i: usize) {
+        self.nodes.partner[i] = self
+            .neighbor_levels
+            .partner_slot(i, self.nodes.queue[i].head_info());
     }
 }
 
-/// What a slot-synchronous MAC decided at one subslot boundary — the
-/// output of [`MacProtocol::subslot_decide`], applied to the world by
-/// [`MacCtx::apply_tick_plan`]. Splitting the tick into a node-local
-/// *decision* and a world *commit* keeps the decision free of
-/// scheduler and medium side effects, so a batched kernel could
-/// decide a whole boundary at once.
+/// A subslot decision as a value: what the
+/// [`MacProtocol::subslot_decide`] signature returns. Nothing in the
+/// simulator builds one or calls that method. The type stays only so
+/// that a delegating MAC that still forwards the method (the benchmark
+/// probe's) keeps compiling.
 #[derive(Debug, Clone)]
 pub struct TickPlan {
     /// Re-arm the subslot timer for this boundary `(time, frame
@@ -711,7 +759,8 @@ pub struct TickPlan {
     pub action: Option<TickAction>,
 }
 
-/// The world-side half of a subslot decision.
+/// The action half of a [`TickPlan`], kept with it for the same
+/// reason.
 #[derive(Debug, Clone)]
 pub enum TickAction {
     /// Stay in receive mode (recorded for the utilization maps).
@@ -733,64 +782,12 @@ pub enum TickAction {
     },
 }
 
-/// The node-local read/write surface a subslot decision may touch:
-/// the node's own queue (read), RNG (mutate), neighbour-level row
-/// (read), the shared clock/PHY tables, and this node's own radio
-/// flag. Deliberately **no** scheduler, no medium mutation, no other
-/// node's state — that contract makes the decisions of different
-/// nodes at one boundary independent of each other.
+/// The argument type of [`MacProtocol::subslot_decide`]. Nothing can
+/// build one: it is kept, like [`TickPlan`], only so that a delegating
+/// MAC that still forwards the method (the benchmark probe's) keeps
+/// compiling.
 pub struct TickView<'a> {
-    now: SimTime,
-    node: NodeId,
-    clock: &'a FrameClock,
-    phy: &'a PhyTiming,
-    queue: &'a TxQueue,
-    levels: &'a NeighborLevels,
-    rng: &'a mut StdRng,
-    transmitting: bool,
-}
-
-impl<'a> TickView<'a> {
-    /// Current simulated time (the boundary instant).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The node this view is scoped to.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The shared frame clock.
-    pub fn clock(&self) -> &'a FrameClock {
-        self.clock
-    }
-
-    /// The PHY timing table.
-    pub fn phy(&self) -> &PhyTiming {
-        self.phy
-    }
-
-    /// The node's transmit queue (read only).
-    pub fn queue(&self) -> &TxQueue {
-        self.queue
-    }
-
-    /// The node's deterministic RNG.
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
-    }
-
-    /// Is this node currently transmitting? (Own-radio state only.)
-    pub fn transmitting(&self) -> bool {
-        self.transmitting
-    }
-
-    /// `local queue level − reported neighbour level` — identical to
-    /// [`MacCtx::queue_diff`] (both delegate to the same fold).
-    pub fn queue_diff(&self) -> i32 {
-        queue_diff_value(self.now, self.node.index(), self.queue, self.levels)
-    }
+    _world: std::marker::PhantomData<&'a mut World>,
 }
 
 /// The MAC protocol interface.
@@ -829,21 +826,14 @@ pub trait MacProtocol {
     fn policy_snapshot(&self) -> Option<Vec<SlotAction>> {
         None
     }
-    /// Does this MAC implement the decide/commit subslot-tick split
-    /// ([`MacProtocol::subslot_decide`])? The world always delivers
-    /// ticks through [`MacProtocol::on_timer`]; a caller that wants
-    /// the node-local decision alone (a delegating wrapper, say)
-    /// checks this first.
+    /// Always `false`: the world delivers every subslot tick through
+    /// [`MacProtocol::on_timer`] and never asks. Kept, with
+    /// [`MacProtocol::subslot_decide`], only for delegating MACs that
+    /// still forward both (the benchmark probe's).
     fn supports_split_tick(&self) -> bool {
         false
     }
-    /// The node-local half of a subslot tick: consume the boundary,
-    /// mutate only `self` and the view, and return the world commit
-    /// as a [`TickPlan`]. Must be behaviourally identical to the
-    /// [`MacTimerKind::Subslot`] arm of [`MacProtocol::on_timer`]
-    /// followed by [`MacCtx::apply_tick_plan`] — QMA implements
-    /// `on_timer` *in terms of* this method, so the two cannot drift.
-    /// Returns `None` when unsupported (the default).
+    /// Always `None`; see [`MacProtocol::supports_split_tick`].
     fn subslot_decide(&mut self, view: &mut TickView<'_>) -> Option<TickPlan> {
         let _ = view;
         None
@@ -922,11 +912,13 @@ impl<'a> MacCtx<'a> {
     /// Pops the head frame, recording the queue-level change.
     pub fn pop_queue(&mut self) -> Option<crate::queue::QueuedFrame> {
         let now = self.sched.now();
-        let queue = &mut self.world.nodes.queue[self.node.index()];
+        let i = self.node.index();
+        let queue = &mut self.world.nodes.queue[i];
         let popped = queue.pop();
         if popped.is_some() {
             let level = queue.len();
             self.world.metrics.queue_level(self.node, now, level);
+            self.world.refresh_partner(i);
         }
         popped
     }
@@ -951,6 +943,7 @@ impl<'a> MacCtx<'a> {
             self.sched.now(),
             i,
             &self.world.nodes.queue[i],
+            self.world.nodes.partner[i],
             &self.world.neighbor_levels,
         )
     }
@@ -1017,26 +1010,13 @@ impl<'a> MacCtx<'a> {
         self.world.nodes.tick_armed.get(self.node.index())
     }
 
-    /// Applies a [`TickPlan`] — the world-commit half of a subslot
-    /// tick, called right after [`MacProtocol::subslot_decide`].
-    pub fn apply_tick_plan(&mut self, plan: TickPlan) {
-        self.world.commit_tick_plan(self.node, plan, self.sched);
-    }
-
-    /// Builds the node-local [`TickView`] for
-    /// [`MacProtocol::subslot_decide`].
-    pub fn tick_view(&mut self) -> TickView<'_> {
-        let i = self.node.index();
-        TickView {
-            now: self.sched.now(),
-            node: self.node,
-            clock: &self.world.clock,
-            phy: &self.world.phy,
-            queue: &self.world.nodes.queue[i],
-            levels: &self.world.neighbor_levels,
-            rng: &mut self.world.nodes.mac_rng[i],
-            transmitting: self.world.medium.is_transmitting(self.node.phy()),
-        }
+    /// Parks this node's subslot tick: clears its armed-tick bit and
+    /// nothing else. A MAC parks from inside the tick that fired, so
+    /// no tick of the node is live; [`MacCtx::subslot_tick_armed`]
+    /// then reads `false` until the next
+    /// [`MacCtx::set_subslot_timer_at`].
+    pub fn park_subslot_tick(&mut self) {
+        self.world.nodes.tick_armed.set(self.node.index(), false);
     }
 
     /// Cancels a MAC timer class.
@@ -1105,10 +1085,14 @@ impl<'a> UpperCtx<'a> {
     /// after this handler returns.
     pub fn enqueue_mac(&mut self, frame: Frame) -> bool {
         let now = self.sched.now();
-        let queue = &mut self.world.nodes.queue[self.node.index()];
+        let i = self.node.index();
+        let queue = &mut self.world.nodes.queue[i];
         let ok = queue.push(frame, now);
         if ok {
             let level = queue.len();
+            if level == 1 {
+                self.world.refresh_partner(i);
+            }
             self.world.metrics.queue_level(self.node, now, level);
             self.world.notices.push_back(Notice::MacEnqueued(self.node));
         }
@@ -1203,14 +1187,6 @@ impl<T: MacProtocol + ?Sized> MacProtocol for Box<T> {
     #[inline]
     fn policy_snapshot(&self) -> Option<Vec<SlotAction>> {
         (**self).policy_snapshot()
-    }
-    #[inline]
-    fn supports_split_tick(&self) -> bool {
-        (**self).supports_split_tick()
-    }
-    #[inline]
-    fn subslot_decide(&mut self, view: &mut TickView<'_>) -> Option<TickPlan> {
-        (**self).subslot_decide(view)
     }
 }
 
@@ -1398,6 +1374,7 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
         let seeds = SeedSequence::new(self.seed);
         let nodes = Nodes {
             queue: (0..n).map(|_| TxQueue::new(self.queue_capacity)).collect(),
+            partner: vec![NO_SLOT; n],
             energy: vec![EnergyMeter::new(PowerProfile::default()); n],
             in_flight: (0..n).map(|_| None).collect(),
             cca: (0..n).map(|_| None).collect(),
@@ -1602,6 +1579,7 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                     }
                     lost
                 };
+                self.world.nodes.partner[i] = NO_SLOT;
                 self.world.nodes.energy[i]
                     .set_activity(now.as_micros(), qma_phy::RadioActivity::Sleep);
                 if lost > 0 {
@@ -2396,6 +2374,80 @@ mod tests {
         assert_eq!(sim.events_processed(), 4);
     }
 
+    /// Sends its queue head by head, like [`NaiveMac`], and checks at
+    /// every head change that the world's partner slot is the one a
+    /// fresh search finds.
+    struct SlotProbe;
+
+    impl SlotProbe {
+        fn check(ctx: &MacCtx<'_>) {
+            let i = ctx.node.index();
+            let fresh = ctx
+                .world
+                .neighbor_levels
+                .partner_slot(i, ctx.queue().head_info());
+            assert_eq!(ctx.world.nodes.partner[i], fresh, "partner slot of {i}");
+        }
+
+        fn send_head(ctx: &mut MacCtx<'_>) {
+            Self::check(ctx);
+            if let Some(head) = ctx.queue().head().map(|q| q.frame.clone()) {
+                ctx.start_tx(head);
+            }
+        }
+    }
+
+    impl MacProtocol for SlotProbe {
+        fn start(&mut self, _: &mut MacCtx<'_>) {}
+        fn on_timer(&mut self, _: &mut MacCtx<'_>, _: MacTimerKind) {}
+        fn on_frame(&mut self, _: &mut MacCtx<'_>, _: &Frame) {}
+        fn on_tx_end(&mut self, ctx: &mut MacCtx<'_>) {
+            ctx.pop_queue();
+            ctx.metrics().count("pops", 1.0);
+            Self::send_head(ctx);
+        }
+        fn on_cca_result(&mut self, _: &mut MacCtx<'_>, _: bool) {}
+        fn on_enqueue(&mut self, ctx: &mut MacCtx<'_>) {
+            if !ctx.transmitting() {
+                Self::send_head(ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn partner_slot_follows_the_head_across_destinations() {
+        // Node 0 hears 1 but not 2; its queue mixes a heard partner,
+        // an unheard one and broadcasts, so every pop changes which
+        // slot the head needs.
+        struct Mixed;
+        impl UpperLayer for Mixed {
+            fn start(&mut self, ctx: &mut UpperCtx<'_>) {
+                if ctx.node == NodeId(0) {
+                    let dsts = [1, 2, u32::MAX, 1, 1, 2];
+                    for (seq, &d) in dsts.iter().enumerate() {
+                        let dst = match d {
+                            u32::MAX => Address::Broadcast,
+                            d => Address::Node(NodeId(d)),
+                        };
+                        ctx.enqueue_mac(Frame::data(ctx.node, dst, seq as u32, 20, false));
+                    }
+                }
+            }
+            fn on_timer(&mut self, _: &mut UpperCtx<'_>, _: u64) {}
+            fn on_deliver(&mut self, _: &mut UpperCtx<'_>, _: &Frame) {}
+            fn on_tx_result(&mut self, _: &mut UpperCtx<'_>, _: &Frame, _: TxResult) {}
+        }
+        let conn = Connectivity::explicit(3, &[(1, 0), (0, 1), (0, 2)]);
+        let mut sim = SimBuilder::new(conn, 7)
+            .clock(FrameClock::all_cap(10, 1_000))
+            .mac_factory(|_, _| Box::new(SlotProbe))
+            .upper_factory(|_, _| Box::new(Mixed))
+            .build();
+        sim.run_for(SimDuration::from_millis(100));
+        assert_eq!(sim.metrics().get("pops"), 6.0);
+        assert_eq!(sim.world().nodes.partner[0], NO_SLOT);
+    }
+
     #[test]
     fn active_set_tracks_bits_and_iterates() {
         let mut s = ActiveSet::new(200);
@@ -2421,6 +2473,129 @@ mod tests {
         assert_eq!(s.count(), 0);
     }
 
+    /// The CSR table and the partner slot against a map model.
+    mod neighbor_levels_model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        /// A head frame addressed to `dst`.
+        fn unicast_head(dst: u32) -> HeadInfo {
+            HeadInfo {
+                dst: Address::Node(NodeId(dst)),
+                ..HeadInfo::default()
+            }
+        }
+
+        proptest! {
+            /// Random connectivities: up to 96 random directed edges,
+            /// an empty row (the last node), a 1-entry row (the one
+            /// before it) and, in about half the cases, a hidden star
+            /// whose sink hears 1,000–1,100 sources that each hear
+            /// only the sink. Random `set`s, then every row, `get`
+            /// and the partner slot are checked against a map keyed
+            /// by `(rx, src)`.
+            #[test]
+            fn levels_match_a_map_model(
+                star in any::<bool>(),
+                leaves in 1_000usize..=1_100,
+                small in 3usize..=24,
+                edges in prop::collection::vec((any::<u16>(), any::<u16>()), 0..=96),
+                sets in prop::collection::vec(
+                    (any::<u16>(), any::<u16>(), any::<u8>(), 0u64..=10_000_000, any::<bool>()),
+                    0..=200
+                ),
+                probes in prop::collection::vec((any::<u16>(), any::<u16>()), 0..=64)
+            ) {
+                let base = if star { 1 + leaves } else { 0 };
+                let n = base + small;
+                let (isolated, single) = (n as u32 - 1, n as u32 - 2);
+                // (transmitter, receiver): the receiver hears it.
+                let mut heard: BTreeSet<(u32, u32)> = edges
+                    .iter()
+                    .map(|&(t, r)| (u32::from(t) % n as u32, u32::from(r) % n as u32))
+                    .filter(|&(t, r)| t != r && r != isolated && r != single)
+                    .collect();
+                heard.insert((single - 1, single));
+                if star {
+                    for leaf in 1..=leaves as u32 {
+                        heard.insert((leaf, 0));
+                        heard.insert((0, leaf));
+                    }
+                }
+                let edge_list: Vec<(u32, u32)> = heard.iter().copied().collect();
+                let mut levels = NeighborLevels::new(&Connectivity::explicit(n, &edge_list));
+                // Ascending in-neighbour ids per receiver: `heard`
+                // iterates in transmitter order.
+                let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
+                for &(t, r) in &heard {
+                    rows[r as usize].push(t);
+                }
+
+                let mut model: BTreeMap<(u32, u32), (u8, SimTime)> = BTreeMap::new();
+                for &(rx, src, level, at_us, on_edge) in &sets {
+                    let rx = u32::from(rx) % n as u32;
+                    let row = &rows[rx as usize];
+                    let src = if on_edge && !row.is_empty() {
+                        row[usize::from(src) % row.len()]
+                    } else {
+                        u32::from(src) % n as u32
+                    };
+                    let at = SimTime::from_micros(at_us);
+                    levels.set(rx as usize, src, level, at);
+                    if heard.contains(&(src, rx)) {
+                        model.insert((rx, src), (level, at));
+                    }
+                }
+
+                // Every row: its in-neighbours in ascending id, each
+                // with the last level the model holds for it.
+                for (rx, expected_ids) in rows.iter().enumerate() {
+                    let row = levels.entries(rx);
+                    let ids: Vec<u32> = row.iter().map(|e| e.id).collect();
+                    prop_assert_eq!(&ids, expected_ids);
+                    let rx = rx as u32;
+                    for e in row {
+                        prop_assert_eq!(e.level(), model.get(&(rx, e.id)).copied());
+                    }
+                }
+                prop_assert!(levels.entries(isolated as usize).is_empty());
+                prop_assert_eq!(levels.entries(single as usize).len(), 1);
+                if star {
+                    prop_assert!(levels.entries(0).len() >= 1_000);
+                }
+
+                // `get` and the partner slot, at every `set` and probe
+                // pair (probes into a star also aim at the sink's row).
+                let pairs = sets
+                    .iter()
+                    .map(|&(rx, src, ..)| (rx, src))
+                    .chain(probes.iter().copied())
+                    .flat_map(|(rx, src)| {
+                        let sink = (0, src % (leaves as u16) + 1);
+                        [(rx, src)].into_iter().chain(star.then_some(sink))
+                    });
+                for (rx, src) in pairs {
+                    let (rx, src) = (u32::from(rx) % n as u32, u32::from(src) % n as u32);
+                    let expected = model.get(&(rx, src)).copied();
+                    prop_assert_eq!(levels.get(rx as usize, src), expected);
+                    let slot = levels.partner_slot(rx as usize, Some(unicast_head(src)));
+                    if heard.contains(&(src, rx)) {
+                        prop_assert!(levels.row(rx as usize).contains(&(slot as usize)));
+                        prop_assert_eq!(levels.entries[slot as usize].id, src);
+                    } else {
+                        prop_assert_eq!(slot, NO_SLOT);
+                    }
+                    prop_assert_eq!(levels.at_slot(slot), expected);
+                    // No unicast head: no slot.
+                    prop_assert_eq!(levels.partner_slot(rx as usize, None), NO_SLOT);
+                    let broadcast = HeadInfo::default();
+                    prop_assert_eq!(levels.partner_slot(rx as usize, Some(broadcast)), NO_SLOT);
+                }
+            }
+        }
+    }
+
     /// `queue_diff_value` computes in integers what it once computed
     /// through `f64`; the old fold stays here as its oracle.
     mod queue_diff_oracle {
@@ -2440,9 +2615,9 @@ mod tests {
                     return local.round() as i32;
                 }
             }
-            let (sum, count) = levels.entries(i).iter().flatten().fold(
+            let (sum, count) = levels.entries(i).iter().filter_map(LevelEntry::level).fold(
                 (0.0f64, 0u32),
-                |(sum, count), &(level, at)| {
+                |(sum, count), (level, at)| {
                     if now.since(at) <= NEIGHBOR_LEVEL_TTL {
                         (sum + level as f64, count + 1)
                     } else {
@@ -2457,16 +2632,19 @@ mod tests {
         const NOW: SimTime = SimTime::from_secs(10);
 
         /// Node 0's level row over in-neighbours `1..=row.len()`: each
-        /// entry is unheard (`None`) or a level heard `age` ago.
+        /// entry is unheard (`None`) or a level heard `age` ago. Built
+        /// as the world builds it, from a connectivity, and filled by
+        /// `set`.
         fn row_levels(row: &[Option<(u8, SimDuration)>]) -> NeighborLevels {
-            NeighborLevels {
-                offsets: vec![0, row.len() as u32],
-                ids: (1..=row.len() as u32).collect(),
-                levels: row
-                    .iter()
-                    .map(|e| e.map(|(level, age)| (level, NOW - age)))
-                    .collect(),
+            let n = row.len() + 1;
+            let edges: Vec<(u32, u32)> = (1..n as u32).map(|t| (t, 0)).collect();
+            let mut levels = NeighborLevels::new(&Connectivity::explicit(n, &edges));
+            for (k, entry) in row.iter().enumerate() {
+                if let Some((level, age)) = *entry {
+                    levels.set(0, k as u32 + 1, level, NOW - age);
+                }
             }
+            levels
         }
 
         /// A queue of `len` frames whose head goes to `dst`.
@@ -2479,8 +2657,11 @@ mod tests {
         }
 
         /// Both folds on one node, asserted equal; returns the value.
+        /// The integer fold reads the partner through its slot, as a
+        /// tick does.
         fn both(queue: &TxQueue, levels: &NeighborLevels) -> i32 {
-            let got = queue_diff_value(NOW, 0, queue, levels);
+            let partner = levels.partner_slot(0, queue.head_info());
+            let got = queue_diff_value(NOW, 0, queue, partner, levels);
             assert_eq!(got, queue_diff_f64(NOW, 0, queue, levels));
             got
         }

@@ -71,6 +71,7 @@ impl PhyTiming {
     /// # Panics
     ///
     /// Panics if `psdu_octets` exceeds [`MAX_PSDU_OCTETS`].
+    #[inline]
     pub fn frame_airtime_us(&self, psdu_octets: u64) -> u64 {
         assert!(
             psdu_octets <= MAX_PSDU_OCTETS,

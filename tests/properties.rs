@@ -28,7 +28,50 @@ fn arb_outcome() -> impl Strategy<Value = ActionOutcome> {
     ]
 }
 
+/// One update step: `(subslot, action, reward, next subslot)`.
+type Step = (u16, QmaAction, f32, u16);
+
+/// Runs `steps` on two identical `subslots`-row tables, one given each
+/// next subslot as is, the other given it `% subslots`. Both must
+/// return and store the same values at every step.
+fn wrap_matches_modulo<Q: QValue>(subslots: u16, steps: &[Step]) {
+    let p = UpdateParams {
+        alpha: 0.5,
+        gamma: 0.9,
+        xi: 2.0,
+    };
+    let mut as_is: QTable<Q> = QTable::new(subslots, -10.0);
+    let mut wrapped: QTable<Q> = QTable::new(subslots, -10.0);
+    for &(m, a, r, next) in steps {
+        let m = m % subslots;
+        let got = as_is.update(m, a, r, next, &p);
+        let want = wrapped.update(m, a, r, next % subslots, &p);
+        prop_assert_eq!(got.to_f32().to_bits(), want.to_f32().to_bits());
+        prop_assert_eq!(&as_is, &wrapped, "next subslot {} of {}", next, subslots);
+    }
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    // Next subslots over all of u16, with the in-range values and both
+    // ends of the range drawn often.
+    let next = prop_oneof![0u16..=64, any::<u16>(), Just(u16::MAX), Just(0u16)];
+    prop::collection::vec((any::<u16>(), arb_action(), -3.0f32..=4.0, next), 1..120)
+}
+
 proptest! {
+    /// `QTable::update` skips the `%` when the next subslot is in
+    /// range; for every `u16` it must still bootstrap from
+    /// `next % subslots`, on both value backends.
+    #[test]
+    fn update_wraps_next_subslot_like_modulo(
+        subslots in 1u16..=64,
+        f32_steps in arb_steps(),
+        fixed_steps in arb_steps()
+    ) {
+        wrap_matches_modulo::<f32>(subslots, &f32_steps);
+        wrap_matches_modulo::<Fixed16>(subslots, &fixed_steps);
+    }
+
     /// Q-values stay bounded under arbitrary update sequences: above
     /// `init − ξ·steps` trivially, and below the theoretical maximum
     /// `R_max / (1 − γ)`.
