@@ -1563,9 +1563,8 @@ delta = [30.0, 50.0]
             dirs.create().unwrap();
             for &i in planted {
                 // A dead peer: lease file, no heartbeat behind it.
-                // Backdated so it is stale immediately, letting the
-                // live-lease staleness threshold stay generous enough
-                // that a loaded CI box never misreclaims a live one.
+                // Backdated by an hour, so it is stale at once under
+                // the ten-minute threshold below.
                 let lease = dirs.lease(&points[i].stem());
                 std::fs::write(&lease, lease_body("victim", 1, &points[i].key())).unwrap();
                 let long_dead = std::time::SystemTime::now() - Duration::from_secs(3600);
@@ -1604,7 +1603,12 @@ delta = [30.0, 50.0]
                 worker_id: id,
                 max_attempts: 2,
                 heartbeat: Duration::from_millis(20),
-                lease_stale: Duration::from_secs(2),
+                // Far above any scheduling stall: a live worker whose
+                // heartbeat a loaded box starves must keep its lease.
+                // A reclaimed live lease records the same attempt
+                // number as the owner's own failure, so the scripted
+                // failures would outrun the attempt count.
+                lease_stale: Duration::from_secs(600),
                 backoff_base: Duration::from_millis(1),
                 backoff_cap: Duration::from_millis(10),
                 ..FabricConfig::default()
