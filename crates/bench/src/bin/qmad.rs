@@ -36,7 +36,10 @@
 //! with the hidden `--worker` flag, one process per worker, so a
 //! worker crash is a real process death (stale lease → reclaim), not
 //! a caught panic. Worker exit codes: 0 merged clean, 1 merged with
-//! quarantined configs, 2 campaign error, 3 drained.
+//! quarantined configs, 2 campaign error, 3 drained, 4 orphaned. A
+//! worker whose daemon died (its parent process changed) exits with 4
+//! within one heartbeat, mid-config or not: the restarted daemon
+//! reclaims its lease, as after any worker crash.
 
 // The only unsafe in the workspace: registering a libc signal
 // handler, which has no safe std equivalent. The workspace lint is
@@ -80,6 +83,8 @@ fn install_signal_handlers() {
 }
 
 struct WorkerArgs {
+    /// The parent process at start-up: the daemon that spawned us.
+    daemon: u32,
     spec: PathBuf,
     out: PathBuf,
     worker_id: String,
@@ -90,9 +95,34 @@ struct WorkerArgs {
     rep_timeout: Option<Duration>,
 }
 
+/// Exit code of a worker that outlived its daemon.
+const ORPHANED: i32 = 4;
+
+/// Exits the process once its parent is no longer `daemon`: the daemon
+/// died and the worker was re-parented, so nobody supervises it or
+/// reads its result, and the next daemon may already be deleting its
+/// working directory. Polled every `every`. Exiting mid-config is a
+/// crash, which the fabric recovers from (stale lease, then reclaim).
+fn exit_when_orphaned(daemon: u32, every: Duration) {
+    let watch = move || loop {
+        std::thread::sleep(every);
+        if std::os::unix::process::parent_id() != daemon {
+            eprintln!("qmad worker: daemon {daemon} is gone; exiting");
+            std::process::exit(ORPHANED);
+        }
+    };
+    if let Err(e) = std::thread::Builder::new()
+        .name("qmad-orphan-watch".into())
+        .spawn(watch)
+    {
+        eprintln!("qmad worker: cannot watch daemon {daemon}: {e}");
+    }
+}
+
 /// The hidden `--worker` mode: one fabric worker over one spec, with
 /// the exit-code protocol the supervisor decodes.
 fn run_worker(args: WorkerArgs) -> i32 {
+    exit_when_orphaned(args.daemon, args.heartbeat);
     let text = match std::fs::read_to_string(&args.spec) {
         Ok(text) => text,
         Err(e) => {
@@ -139,6 +169,7 @@ fn parse_duration_ms(
 }
 
 fn parse_worker_args(mut argv: impl Iterator<Item = String>) -> Result<WorkerArgs, String> {
+    let daemon = std::os::unix::process::parent_id();
     let defaults = FabricConfig::default();
     let mut spec = None;
     let mut out = None;
@@ -170,6 +201,7 @@ fn parse_worker_args(mut argv: impl Iterator<Item = String>) -> Result<WorkerArg
         }
     }
     Ok(WorkerArgs {
+        daemon,
         spec: spec.ok_or("--worker needs --spec")?,
         out: out.ok_or("--worker needs --out")?,
         worker_id: worker_id.ok_or("--worker needs --worker-id")?,

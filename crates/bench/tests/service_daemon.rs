@@ -1,9 +1,10 @@
 //! Process-level service tests: a real `qmad` daemon (spawning real
 //! worker processes) driven through the crash, drain and degradation
 //! drills the service exists for — SIGKILL of workers and of the
-//! daemon itself with byte-identical recovery, SIGTERM lame-duck
-//! exit 0, circuit-breaker quarantine of a worker-killing campaign,
-//! and machine-readable admission refusals from `campaignctl`.
+//! daemon itself with byte-identical recovery, the exit of a worker
+//! whose parent died, SIGTERM lame-duck exit 0, circuit-breaker
+//! quarantine of a worker-killing campaign, and machine-readable
+//! admission refusals from `campaignctl`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -175,6 +176,16 @@ fn wait_for_worker_pids(paths: &ServicePaths) -> Vec<u32> {
     pids
 }
 
+/// Whether process `pid` still runs: it exists and is not a zombie
+/// (an exited orphan that its new parent has not reaped yet).
+fn process_alive(pid: u32) -> bool {
+    std::fs::read_to_string(format!("/proc/{pid}/stat")).is_ok_and(|stat| {
+        // The state field follows the parenthesised command name.
+        stat.rsplit_once(')')
+            .is_some_and(|(_, rest)| !rest.trim_start().starts_with(['Z', 'X']))
+    })
+}
+
 fn sigterm(pid: u32) {
     assert!(Command::new("kill")
         .args(["-TERM", &pid.to_string()])
@@ -242,12 +253,20 @@ fn killed_worker_and_daemon_recover_byte_identical() {
     );
 
     // Drill 2: SIGKILL the daemon itself — no destructors, no drain.
+    // Its workers, the respawned one included, notice within a
+    // heartbeat and exit.
+    let mut first_workers = pids;
+    first_workers.extend(wait_for_worker_pids(&paths));
     daemon.kill().unwrap();
     daemon.wait().unwrap();
+    wait_for(
+        "the first incarnation's workers to exit",
+        Duration::from_secs(30),
+        || first_workers.iter().all(|&pid| !process_alive(pid)),
+    );
 
     // Restart: the journal replays, the fabric resumes, the campaign
-    // archives. (Orphaned workers from the first incarnation may
-    // still be finishing configs — determinism makes that benign.)
+    // archives.
     let mut daemon = spawn_daemon(&root, &["--workers", "2"]);
     let archived_csv = paths.archive.join(&id).join("svclong.csv");
     wait_for(
@@ -277,6 +296,71 @@ fn killed_worker_and_daemon_recover_byte_identical() {
 
     sigterm(daemon.id());
     assert!(wait_exit(&mut daemon, Duration::from_secs(60)).success());
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+/// SIGKILLs a process when dropped, so a failing test leaves no
+/// stray worker running.
+struct KillOnDrop(u32);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        sigkill(self.0);
+    }
+}
+
+#[test]
+fn orphaned_worker_exits_with_its_parent() {
+    let work = tmp_dir("orphan");
+    // Sixty of the drills' configs: a worker left alone would run for
+    // about half a minute.
+    let deltas: Vec<String> = (0..60).map(|k| format!("{}.0", 20 + k)).collect();
+    let spec = long_spec()
+        .replace("svclong", "orphan")
+        .replace("[25.0, 50.0]", &format!("[{}]", deltas.join(", ")));
+    let spec_path = work.join("orphan.toml");
+    std::fs::write(&spec_path, spec).unwrap();
+    let out = work.join("out");
+    let leases = out.join("orphan.fabric/leases");
+
+    // A parent that starts a worker, waits until it holds a lease (so
+    // it has noted its parent), prints its pid and exits: what a
+    // SIGKILLed daemon leaves behind.
+    let script = r#""$0" --worker --spec "$1" --out "$2" --worker-id orphan \
+        --drain-flag "$3" --heartbeat-ms 25 >/dev/null 2>&1 &
+        worker=$!
+        for _ in $(seq 1500); do
+            [ -n "$(ls "$4" 2>/dev/null)" ] && break
+            sleep 0.02
+        done
+        echo "$worker""#;
+    let parent = Command::new("sh")
+        .arg("-c")
+        .arg(script)
+        .arg(env!("CARGO_BIN_EXE_qmad"))
+        .arg(&spec_path)
+        .arg(&out)
+        .arg(work.join("drain"))
+        .arg(&leases)
+        .output()
+        .expect("run the worker's parent");
+    assert!(parent.status.success());
+    let pid: u32 = String::from_utf8_lossy(&parent.stdout)
+        .trim()
+        .parse()
+        .expect("the worker's pid");
+    let _guard = KillOnDrop(pid);
+    assert!(leases.exists(), "the worker never started its campaign");
+
+    wait_for(
+        "the orphaned worker to exit",
+        Duration::from_secs(10),
+        || !process_alive(pid),
+    );
+    assert!(
+        !out.join("orphan.csv").exists(),
+        "the orphan ran its campaign to the end"
+    );
     let _ = std::fs::remove_dir_all(&work);
 }
 
