@@ -221,8 +221,7 @@ impl CsmaMac {
 
     fn transmit_head(&mut self, ctx: &mut MacCtx<'_>) {
         let frame = ctx
-            .queue()
-            .head()
+            .queue_head()
             .expect("transmit without head frame")
             .frame
             .clone();
@@ -294,8 +293,7 @@ impl MacProtocol for CsmaMac {
             RxEvent::AckForMe(seq) => {
                 if self.phase == Phase::WaitAck {
                     let matches = ctx
-                        .queue()
-                        .head()
+                        .queue_head()
                         .map(|h| h.frame.seq == seq)
                         .unwrap_or(false);
                     if matches {
@@ -477,12 +475,17 @@ mod tests {
 
     #[test]
     fn ack_exchange_counts_attempts() {
-        let sim = run_pair(CsmaConfig::unslotted(), 10, 100);
+        let mut sim = run_pair(CsmaConfig::unslotted(), 10, 100);
         // 10 data transmissions at node 0, 10 ACK transmissions at
         // node 1 (no losses in a clean 2-node channel).
         assert_eq!(sim.metrics().mac(NodeId(0)).tx_attempts, 10);
         assert_eq!(sim.metrics().mac(NodeId(1)).tx_attempts, 10);
         assert_eq!(sim.metrics().mac(NodeId(0)).ccas, 10);
+        // The energy report counts the same operations.
+        let r = sim.energy_report(NodeId(0));
+        assert_eq!((r.tx_attempts, r.ccas), (10, 10));
+        let r = sim.energy_report(NodeId(1));
+        assert_eq!((r.tx_attempts, r.ccas), (10, 0));
     }
 
     #[test]

@@ -212,8 +212,7 @@ impl QmaMac {
 
     fn transmit_head(&mut self, ctx: &mut MacCtx<'_>, via_cca: bool) {
         let frame = ctx
-            .queue()
-            .head()
+            .queue_head()
             .expect("transmit without head frame")
             .frame
             .clone();
@@ -395,8 +394,7 @@ impl MacProtocol for QmaMac {
             RxEvent::AckForMe(seq) => {
                 if let Phase::WaitAck { via_cca } = self.phase {
                     let matches = ctx
-                        .queue()
-                        .head()
+                        .queue_head()
                         .map(|h| h.frame.seq == seq)
                         .unwrap_or(false);
                     if matches {

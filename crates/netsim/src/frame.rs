@@ -140,11 +140,17 @@ impl Frame {
 
     /// Builds the immediate ACK for a received frame.
     pub fn ack_for(received: &Frame, me: NodeId) -> Frame {
+        Frame::ack(me, received.src, received.seq)
+    }
+
+    /// Builds the immediate ACK `me` sends to `to` for its frame
+    /// `seq`.
+    pub fn ack(me: NodeId, to: NodeId, seq: u32) -> Frame {
         Frame {
             src: me,
-            dst: Address::Node(received.src),
+            dst: Address::Node(to),
             kind: FrameKind::Ack,
-            seq: received.seq,
+            seq,
             psdu_octets: 5,
             ack_request: false,
             queue_level: 0,

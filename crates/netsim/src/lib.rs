@@ -10,8 +10,8 @@
 //!
 //! * [`frame`] — MAC frames, addresses, app-packet provenance, and
 //!   the queue-level piggyback QMA's exploration relies on,
-//! * [`queue`] — the bounded transmit queue (capacity 8 in the paper)
-//!   with drop accounting,
+//! * [`queue`] — the bounded transmit queues (capacity 8 in the
+//!   paper) with drop accounting, their frames in one world-wide pool,
 //! * [`clock`] — the synchronized superframe clock: CAP window and
 //!   the M=54 contention subslots QMA uses as its learning state,
 //! * [`metrics`] — PDR/delay/queue/energy/learning recorders backing
@@ -68,7 +68,7 @@ pub use clock::FrameClock;
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use frame::{Address, AppInfo, Frame, FrameKind, Payload};
 pub use metrics::{LearnerSample, MacCounters, MetricsHub, SlotAction, TxResult};
-pub use queue::{HeadInfo, TxQueue};
+pub use queue::{HeadInfo, QueuedFrame, TxQueue, TxQueues};
 pub use world::{
     ActiveSet, EngineCounts, MacCtx, MacProtocol, MacTimerKind, NodeId, PastClampBudgetExceeded,
     Sim, SimBuilder, TickAction, TickPlan, TickView, UpperCtx, UpperLayer,

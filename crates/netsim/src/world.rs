@@ -20,7 +20,7 @@ use qma_phy::{
 use crate::clock::FrameClock;
 use crate::frame::{Address, Frame};
 use crate::metrics::{LearnerSample, MetricsHub, SlotAction, TxResult};
-use crate::queue::{HeadInfo, TxQueue};
+use crate::queue::{HeadInfo, QueuedFrame, TxQueue, TxQueues};
 
 /// Identifier of a simulated node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -363,7 +363,9 @@ impl NeighborLevels {
 /// stay out of the hot arrays entirely.
 #[derive(Debug)]
 struct Nodes {
-    queue: Vec<TxQueue>,
+    /// The transmit queue headers, indexed by node, and the one pool
+    /// their frames live in.
+    queue: TxQueues,
     /// [`NeighborLevels::partner_slot`] of each queue's head, set
     /// wherever the head changes.
     partner: Vec<u32>,
@@ -470,7 +472,7 @@ pub struct EngineCounts {
 
 impl Nodes {
     fn len(&self) -> usize {
-        self.queue.len()
+        self.partner.len()
     }
 }
 
@@ -596,7 +598,7 @@ impl World {
         self.nodes.tick_armed.count()
     }
 
-    /// A node's transmit queue.
+    /// A node's transmit queue header.
     pub fn queue(&self, node: NodeId) -> &TxQueue {
         &self.nodes.queue[node.index()]
     }
@@ -607,9 +609,16 @@ impl World {
         self.neighbor_levels.get(rx.index(), src.0)
     }
 
-    /// Closes a node's energy accounting and returns the report.
+    /// Closes a node's energy accounting and returns the report, its
+    /// transmission attempts and CCAs taken from the node's
+    /// [`crate::MacCounters`].
     pub fn energy_report(&mut self, node: NodeId, now: SimTime) -> EnergyReport {
-        self.nodes.energy[node.index()].finish(now.as_micros())
+        let mac = self.metrics.mac(node);
+        EnergyReport {
+            tx_attempts: mac.tx_attempts,
+            ccas: mac.ccas,
+            ..self.nodes.energy[node.index()].finish(now.as_micros())
+        }
     }
 
     fn start_tx_internal(
@@ -643,9 +652,7 @@ impl World {
             }
         }
 
-        let energy = &mut self.nodes.energy[i];
-        energy.count_tx_attempt();
-        energy.set_activity(now.as_micros(), qma_phy::RadioActivity::Transmit);
+        self.nodes.energy[i].set_activity(now.as_micros(), qma_phy::RadioActivity::Transmit);
         self.nodes.in_flight[i] = Some((token, frame, origin));
         self.nodes.tx_gen[i] += 1;
         let gen = self.nodes.tx_gen[i];
@@ -730,7 +737,6 @@ impl World {
             saw_energy: self.medium.is_busy(node.phy()),
             gen,
         });
-        self.nodes.energy[i].count_cca();
         self.metrics.mac_mut(node).ccas += 1;
         let dur = SimDuration::from_micros(self.phy.cca_us());
         sched.schedule_at(now + dur, Event::CcaEnd { node, gen });
@@ -897,26 +903,31 @@ impl<'a> MacCtx<'a> {
         &mut self.world.nodes.mac_rng[self.node.index()]
     }
 
-    /// The transmit queue (read only; mutate through
+    /// The transmit queue header (read only; mutate through
     /// [`MacCtx::pop_queue`] / [`MacCtx::bump_head_retries`]).
     pub fn queue(&self) -> &TxQueue {
         &self.world.nodes.queue[self.node.index()]
     }
 
+    /// The head-of-line entry of the transmit queue, read from the
+    /// world's frame pool.
+    pub fn queue_head(&self) -> Option<&QueuedFrame> {
+        self.world.nodes.queue.head(self.node.index())
+    }
+
     /// Counts one more retransmission of the head frame and returns its
     /// retry count (retry bookkeeping; `None` with an empty queue).
     pub fn bump_head_retries(&mut self) -> Option<u8> {
-        self.world.nodes.queue[self.node.index()].bump_head_retries()
+        self.world.nodes.queue.bump_head_retries(self.node.index())
     }
 
     /// Pops the head frame, recording the queue-level change.
-    pub fn pop_queue(&mut self) -> Option<crate::queue::QueuedFrame> {
+    pub fn pop_queue(&mut self) -> Option<QueuedFrame> {
         let now = self.sched.now();
         let i = self.node.index();
-        let queue = &mut self.world.nodes.queue[i];
-        let popped = queue.pop();
+        let popped = self.world.nodes.queue.pop(i);
         if popped.is_some() {
-            let level = queue.len();
+            let level = self.world.nodes.queue[i].len();
             self.world.metrics.queue_level(self.node, now, level);
             self.world.refresh_partner(i);
         }
@@ -1086,10 +1097,9 @@ impl<'a> UpperCtx<'a> {
     pub fn enqueue_mac(&mut self, frame: Frame) -> bool {
         let now = self.sched.now();
         let i = self.node.index();
-        let queue = &mut self.world.nodes.queue[i];
-        let ok = queue.push(frame, now);
+        let ok = self.world.nodes.queue.push(i, frame, now);
         if ok {
-            let level = queue.len();
+            let level = self.world.nodes.queue[i].len();
             if level == 1 {
                 self.world.refresh_partner(i);
             }
@@ -1373,7 +1383,7 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
         let n = self.conn.len();
         let seeds = SeedSequence::new(self.seed);
         let nodes = Nodes {
-            queue: (0..n).map(|_| TxQueue::new(self.queue_capacity)).collect(),
+            queue: TxQueues::new(n, self.queue_capacity),
             partner: vec![NO_SLOT; n],
             energy: vec![EnergyMeter::new(PowerProfile::default()); n],
             in_flight: (0..n).map(|_| None).collect(),
@@ -1571,14 +1581,10 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                     self.world.medium.abort_tx(token);
                 }
                 self.world.medium.drop_rx_lock(node.phy());
-                let lost = {
-                    let queue = &mut self.world.nodes.queue[i];
-                    let mut lost = 0u64;
-                    while queue.pop().is_some() {
-                        lost += 1;
-                    }
-                    lost
-                };
+                let mut lost = 0u64;
+                while self.world.nodes.queue.pop(i).is_some() {
+                    lost += 1;
+                }
                 self.world.nodes.partner[i] = NO_SLOT;
                 self.world.nodes.energy[i]
                     .set_activity(now.as_micros(), qma_phy::RadioActivity::Sleep);
@@ -2048,14 +2054,14 @@ mod tests {
                 ctx.notify_tx_result(f, TxResult::Delivered);
             }
             // Keep draining the queue back-to-back.
-            if let Some(next) = ctx.queue().head().map(|q| q.frame.clone()) {
+            if let Some(next) = ctx.queue_head().map(|q| q.frame.clone()) {
                 ctx.start_tx(next);
             }
         }
         fn on_cca_result(&mut self, _: &mut MacCtx<'_>, _: bool) {}
         fn on_enqueue(&mut self, ctx: &mut MacCtx<'_>) {
             if !ctx.transmitting() {
-                let f = ctx.queue().head().expect("just enqueued").frame.clone();
+                let f = ctx.queue_head().expect("just enqueued").frame.clone();
                 ctx.start_tx(f);
             }
         }
@@ -2391,7 +2397,7 @@ mod tests {
 
         fn send_head(ctx: &mut MacCtx<'_>) {
             Self::check(ctx);
-            if let Some(head) = ctx.queue().head().map(|q| q.frame.clone()) {
+            if let Some(head) = ctx.queue_head().map(|q| q.frame.clone()) {
                 ctx.start_tx(head);
             }
         }
@@ -2647,19 +2653,20 @@ mod tests {
             levels
         }
 
-        /// A queue of `len` frames whose head goes to `dst`.
-        fn queue_to(len: usize, dst: Address) -> TxQueue {
-            let mut queue = TxQueue::new(256);
+        /// Node 0's queue of `len` frames whose head goes to `dst`.
+        fn queue_to(len: usize, dst: Address) -> TxQueues {
+            let mut queues = TxQueues::new(1, 256);
             for seq in 0..len as u32 {
-                assert!(queue.push(Frame::data(NodeId(0), dst, seq, 10, false), NOW));
+                assert!(queues.push(0, Frame::data(NodeId(0), dst, seq, 10, false), NOW));
             }
-            queue
+            queues
         }
 
-        /// Both folds on one node, asserted equal; returns the value.
+        /// Both folds on node 0, asserted equal; returns the value.
         /// The integer fold reads the partner through its slot, as a
         /// tick does.
-        fn both(queue: &TxQueue, levels: &NeighborLevels) -> i32 {
+        fn both(queues: &TxQueues, levels: &NeighborLevels) -> i32 {
+            let queue = &queues[0];
             let partner = levels.partner_slot(0, queue.head_info());
             let got = queue_diff_value(NOW, 0, queue, partner, levels);
             assert_eq!(got, queue_diff_f64(NOW, 0, queue, levels));

@@ -55,8 +55,12 @@ impl PowerProfile {
     }
 }
 
-/// Integrates radio energy for one node and counts the discrete
-/// operations the paper compares (§6.2.1).
+/// Integrates radio energy for one node.
+///
+/// The meter integrates time only. The discrete operations the paper
+/// compares (§6.2.1), transmission attempts and CCAs, are counted by
+/// whoever drives the radio; [`EnergyMeter::finish`] leaves them at
+/// zero for the caller to fill in.
 ///
 /// # Examples
 ///
@@ -76,8 +80,6 @@ pub struct EnergyMeter {
     current: RadioActivity,
     since_us: u64,
     energy_uj: f64, // microjoules = mW × µs / 1000... see note below
-    tx_attempts: u64,
-    ccas: u64,
     listen_us: u64,
     transmit_us: u64,
     sleep_us: u64,
@@ -110,8 +112,6 @@ impl EnergyMeter {
             current: RadioActivity::Listen,
             since_us: 0,
             energy_uj: 0.0,
-            tx_attempts: 0,
-            ccas: 0,
             listen_us: 0,
             transmit_us: 0,
             sleep_us: 0,
@@ -125,25 +125,16 @@ impl EnergyMeter {
         self.current = next;
     }
 
-    /// Records one frame transmission attempt.
-    pub fn count_tx_attempt(&mut self) {
-        self.tx_attempts += 1;
-    }
-
-    /// Records one CCA.
-    pub fn count_cca(&mut self) {
-        self.ccas += 1;
-    }
-
     /// Closes the accounting period at `end_us` and returns the
-    /// report. The meter can continue to be used afterwards.
+    /// report, with `tx_attempts` and `ccas` at zero. The meter can
+    /// continue to be used afterwards.
     pub fn finish(&mut self, end_us: u64) -> EnergyReport {
         self.accrue(end_us);
         EnergyReport {
             // mW × µs = nJ; → mJ by 1e-6.
             total_mj: self.energy_uj * 1e-6,
-            tx_attempts: self.tx_attempts,
-            ccas: self.ccas,
+            tx_attempts: 0,
+            ccas: 0,
             listen_us: self.listen_us,
             transmit_us: self.transmit_us,
             sleep_us: self.sleep_us,
@@ -195,17 +186,6 @@ mod tests {
         assert_eq!(r.listen_us, 500_000);
         assert_eq!(r.transmit_us, 100_000);
         assert_eq!(r.sleep_us, 400_000);
-    }
-
-    #[test]
-    fn counters() {
-        let mut m = EnergyMeter::new(PowerProfile::default());
-        m.count_tx_attempt();
-        m.count_tx_attempt();
-        m.count_cca();
-        let r = m.finish(1);
-        assert_eq!(r.tx_attempts, 2);
-        assert_eq!(r.ccas, 1);
     }
 
     #[test]

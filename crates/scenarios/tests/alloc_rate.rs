@@ -2,7 +2,8 @@
 //! event hot path (DES pop → dispatch → MAC → medium) must not touch
 //! the allocator: each case runs one grid point twice at the same
 //! seed, once short and once long, and the allocations the longer run
-//! adds per extra event must stay (near) zero.
+//! adds per extra event must stay (near) zero. Building a world
+//! allocates per world, not per node.
 //!
 //! A counting global allocator counts `alloc` and `realloc` calls on
 //! the calling thread only. The counter is a `const`-initialised
@@ -14,7 +15,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use qma_scenarios::{run_scenario, MacKind, MassiveTopology, ScenarioKind, ScenarioParams};
+use qma_scenarios::{
+    massive, run_scenario, MacKind, MassiveTopology, ScenarioKind, ScenarioParams,
+};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -126,5 +129,38 @@ fn massive_grid_allocates_at_most_1e4_per_extra_event() {
         rate <= 1e-4,
         "{rate:.2e} allocations per extra event ({short_allocs} allocations for \
          {short_events} events, {long_allocs} for {long_events})"
+    );
+}
+
+#[test]
+fn building_a_grid_allocates_the_same_at_any_size() {
+    // `SimBuilder::build` over QMA lattices of 100, 1,024 and 4,096
+    // nodes: every per-node table is one array and the transmit
+    // queues' frame pool starts empty, so the count does not grow
+    // with the population.
+    let counts: Vec<u64> = [100, 1024, 4096]
+        .into_iter()
+        .map(|nodes| {
+            let p = ScenarioParams {
+                mac: MacKind::Qma,
+                nodes,
+                delta: 2.0,
+                packets: 5,
+                duration_s: 5,
+                topology: MassiveTopology::Grid,
+                ..ScenarioParams::default()
+            };
+            let topo = massive::build_topology(&p);
+            let (builder, _) = massive::sim_builder(&p, &topo, SEED, Some(p.packets));
+            let before = ALLOCS.with(Cell::get);
+            let sim = builder.build();
+            let allocs = ALLOCS.with(Cell::get) - before;
+            drop(sim);
+            allocs
+        })
+        .collect();
+    assert!(
+        counts.windows(2).all(|w| w[0] == w[1]),
+        "build allocations grew with the population: {counts:?} at 100, 1,024 and 4,096 nodes"
     );
 }

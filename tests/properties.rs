@@ -8,7 +8,7 @@ use qma::core::{ActionOutcome, Fixed16, QValue, QmaAction, QmaAgent, QmaConfig};
 use qma::des::{Scheduler, SimTime};
 use qma::dsme::{GtsSlot, MsfConfig, SlotBitmap};
 use qma::markov::Matrix;
-use qma::netsim::{Address, Frame, HeadInfo, NodeId, TxQueue};
+use qma::netsim::{Address, Frame, HeadInfo, NodeId, TxQueues};
 use qma::phy::{Connectivity, Medium, PhyNodeId};
 
 fn arb_action() -> impl Strategy<Value = QmaAction> {
@@ -251,24 +251,24 @@ proptest! {
         cap in 1usize..16,
         pushes in prop::collection::vec(any::<bool>(), 1..100)
     ) {
-        let mut q = TxQueue::new(cap);
+        let mut q = TxQueues::new(1, cap);
         let mut accepted = 0u64;
         let mut rejected = 0u64;
         for (i, push) in pushes.iter().enumerate() {
             if *push {
                 let f = Frame::data(NodeId(0), NodeId(1).into(), i as u32, 10, false);
-                if q.push(f, SimTime::from_micros(i as u64)) {
+                if q.push(0, f, SimTime::from_micros(i as u64)) {
                     accepted += 1;
                 } else {
                     rejected += 1;
                 }
             } else {
-                q.pop();
+                q.pop(0);
             }
-            prop_assert!(q.len() <= cap);
+            prop_assert!(q[0].len() <= cap);
         }
-        prop_assert_eq!(q.drops(), rejected);
-        prop_assert_eq!(q.enqueued_total(), accepted);
+        prop_assert_eq!(q[0].drops(), rejected);
+        prop_assert_eq!(q[0].enqueued_total(), accepted);
     }
 
     /// The queue's inline head copy equals the head frame's fields
@@ -278,26 +278,26 @@ proptest! {
     fn queue_head_info_tracks_the_head_frame(
         ops in prop::collection::vec((0u8..4, 0u32..6, 1u16..120, any::<bool>()), 0..80)
     ) {
-        let mut q = TxQueue::new(4);
+        let mut q = TxQueues::new(1, 4);
         for (seq, (op, dst, payload, ack)) in ops.into_iter().enumerate() {
             match op {
                 0 | 1 => {
                     let dst = if dst == 5 { Address::Broadcast } else { NodeId(dst).into() };
-                    q.push(Frame::data(NodeId(0), dst, seq as u32, payload, ack), SimTime::ZERO);
+                    q.push(0, Frame::data(NodeId(0), dst, seq as u32, payload, ack), SimTime::ZERO);
                 }
                 2 => {
-                    q.pop();
+                    q.pop(0);
                 }
                 _ => {
-                    q.bump_head_retries();
+                    q.bump_head_retries(0);
                 }
             }
-            let expect = q.head().map(|h| HeadInfo {
+            let expect = q.head(0).map(|h| HeadInfo {
                 dst: h.frame.dst,
                 psdu_octets: h.frame.psdu_octets,
                 ack_request: h.frame.ack_request,
             });
-            prop_assert_eq!(q.head_info(), expect);
+            prop_assert_eq!(q[0].head_info(), expect);
         }
     }
 
