@@ -15,10 +15,13 @@
 //! * **Reclaim**: a lease whose mtime is older than the staleness
 //!   threshold belongs to a dead worker (`kill -9`, OOM, power loss —
 //!   anything that stops the heartbeat); any peer may remove it and
-//!   re-execute the config. Re-execution is **benign by determinism**:
-//!   a config's shard is a pure function of `(config key, master
-//!   seed)`, so even the worst reclaim race — a presumed-dead worker
-//!   finishing late — writes byte-identical bytes.
+//!   re-execute the config. The removal renames the lease aside first
+//!   and deletes only the stale lease it read, so two peers reclaiming
+//!   one lease never delete the fresh lease one of them acquired.
+//!   Re-execution is **benign by determinism**: a config's shard is a
+//!   pure function of `(config key, master seed)`, so even the worst
+//!   reclaim race — a presumed-dead worker finishing late — writes
+//!   byte-identical bytes.
 //! * **Backoff**: a worker finding every remaining config leased backs
 //!   off with capped exponential delays indexed by the retry round —
 //!   deterministic, no jitter, and no wall-clock value ever reaches an
@@ -366,7 +369,11 @@ impl Lease {
                                     return;
                                 }
                             }
-                            _ => return, // reclaimed or unreadable: stop renewing
+                            // A peer checking a stale lease moves it aside
+                            // for a moment and puts a live one back
+                            // (`remove_stale_lease`): try again next tick.
+                            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                            _ => return, // taken over or unreadable: stop renewing
                         }
                     }
                 }
@@ -510,25 +517,59 @@ fn stale_lease_body(dirs: &FabricDirs, stem: &str, stale: Duration) -> Option<St
     std::fs::read_to_string(&path).ok()
 }
 
-/// Removes a stale lease once its dead attempt is recorded,
-/// re-checking staleness at the last instant. The remove can race a
-/// peer's reclaim or a late heartbeat renewal; a double-recorded dead
-/// attempt is harmless (attempt accounting is monotonic — see
-/// [`record_attempt`] — and a config that succeeds anyway has its
-/// count ignored at merge).
-fn remove_stale_lease(dirs: &FabricDirs, stem: &str, stale: Duration) -> bool {
+/// Removes a stale lease once its dead attempt is recorded: the lease
+/// whose body the caller read as stale (`stale_body`), and only while
+/// it is still stale. The inspection and the removal are one step. The
+/// reclaimer first renames the lease aside under a name of its own, so
+/// no peer can change what it inspects. If the file it moved is not
+/// that stale lease — a peer reclaimed it first and acquired a fresh
+/// one, or the owner's late heartbeat renewed it — the file goes back
+/// under the lease name without overwriting anything (a hard link, then
+/// the aside name is removed). A check-then-remove on the lease path
+/// itself could delete a peer's fresh lease and run the config twice.
+/// A double-recorded dead attempt is harmless (attempt accounting is
+/// monotonic — see [`record_attempt`]).
+fn remove_stale_lease(
+    dirs: &FabricDirs,
+    stem: &str,
+    stale: Duration,
+    stale_body: &str,
+    reclaimer: &str,
+) -> bool {
     let path = dirs.lease(stem);
-    let Ok(meta) = std::fs::metadata(&path) else {
-        return false;
-    };
-    let stale_now = meta
-        .modified()
-        .ok()
-        // qma-lint: allow(wall-clock) — last-instant staleness recheck
-        // before removing a dead peer's lease; real time by design.
-        .and_then(|m| std::time::SystemTime::now().duration_since(m).ok())
-        .is_some_and(|age| age > stale);
-    stale_now && std::fs::remove_file(&path).is_ok()
+    #[cfg(test)]
+    if let Some(peer) = RECLAIM_HOOK.with(|hook| hook.borrow_mut().take()) {
+        peer();
+    }
+    let aside = path.with_extension(format!("reclaim-{reclaimer}"));
+    // qma-lint: allow(raw-durability) — the move makes the inspection
+    // below atomic, not durable: the file is deleted or restored right
+    // after, and a reclaim lost to a power cut is simply redone.
+    if std::fs::rename(&path, &aside).is_err() {
+        return false; // released, or a peer moved it first
+    }
+    let still_stale = std::fs::read_to_string(&aside).is_ok_and(|moved| moved == stale_body)
+        && std::fs::metadata(&aside)
+            .and_then(|meta| meta.modified())
+            .ok()
+            // qma-lint: allow(wall-clock) — last-instant staleness recheck
+            // before removing a dead peer's lease; real time by design.
+            .and_then(|m| std::time::SystemTime::now().duration_since(m).ok())
+            .is_some_and(|age| age > stale);
+    if !still_stale {
+        let _ = std::fs::hard_link(&aside, &path);
+    }
+    let _ = std::fs::remove_file(&aside);
+    still_stale
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Runs inside this thread's next [`remove_stale_lease`], between
+    /// the caller's staleness check and the move: a unit test plays a
+    /// racing peer there.
+    static RECLAIM_HOOK: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::RefCell::new(None) };
 }
 
 /// How one config executes inside a fabric worker. Production is
@@ -750,7 +791,7 @@ pub(crate) fn run_fabric_with(
                 ),
             };
             record_attempt(&dirs, &stem, spec, cfg, dead_attempt, &fail)?;
-            if remove_stale_lease(&dirs, &stem, cfg.lease_stale) {
+            if remove_stale_lease(&dirs, &stem, cfg.lease_stale, &body, &cfg.worker_id) {
                 progress(&format!(
                     "reclaimed stale lease of worker '{owner}' on {key} (attempt {dead_attempt})"
                 ));
@@ -1105,6 +1146,55 @@ skew_us = [0, -100000]
         assert_eq!(out.executed, 2, "the reclaimed config must re-execute");
         assert!(out.quarantined.is_empty());
         assert_golden(&out);
+        let _ = std::fs::remove_dir_all(&fabric_dir);
+    }
+
+    /// Two workers reclaim one dead lease. The slower one read the
+    /// stale body, then stalls just before its removal; meanwhile the
+    /// faster one reclaims the lease and acquires a fresh one. The
+    /// slower reclaim must leave that fresh lease in place.
+    #[test]
+    fn a_late_reclaim_never_removes_a_fresh_lease() {
+        let fabric_dir = tmp_dir("reclaim-race");
+        let dirs = FabricDirs::new(&fabric_dir, "race");
+        dirs.create().unwrap();
+        let stem = "cfg";
+        let lease = dirs.lease(stem);
+        std::fs::write(&lease, lease_body("victim", 1, "k=1")).unwrap();
+        let long_dead = std::time::SystemTime::now() - Duration::from_secs(3600);
+        std::fs::File::options()
+            .write(true)
+            .open(&lease)
+            .unwrap()
+            .set_times(std::fs::FileTimes::new().set_modified(long_dead))
+            .unwrap();
+        let stale = Duration::from_secs(600);
+        let body = stale_lease_body(&dirs, stem, stale).expect("the planted lease is stale");
+
+        let fast_dirs = FabricDirs::new(&fabric_dir, "race");
+        let fast_body = body.clone();
+        RECLAIM_HOOK.with(|hook| {
+            *hook.borrow_mut() = Some(Box::new(move || {
+                assert!(remove_stale_lease(
+                    &fast_dirs, stem, stale, &fast_body, "fast"
+                ));
+                std::fs::write(fast_dirs.lease(stem), lease_body("fast", 2, "k=1")).unwrap();
+            }));
+        });
+        assert!(
+            !remove_stale_lease(&dirs, stem, stale, &body, "slow"),
+            "the slower reclaimer must find no stale lease left"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&lease).ok(),
+            Some(lease_body("fast", 2, "k=1")),
+            "the fresh lease must survive the late reclaim"
+        );
+        let left: Vec<_> = std::fs::read_dir(&dirs.leases)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left.len(), 1, "aside copies left behind: {left:?}");
         let _ = std::fs::remove_dir_all(&fabric_dir);
     }
 
