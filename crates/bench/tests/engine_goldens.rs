@@ -12,6 +12,11 @@
 //! unobservable. The four specs cover a hidden-node cell, sparse
 //! massive worlds, a chaos run (crash, jam and drift) and a skewed
 //! chaos run, whose late-running nodes tick through the heap.
+//!
+//! `fold_order` pins the order in which a config's replications fold
+//! into its aggregate: its sixteen replications per config put several
+//! printed means exactly on a rounding tie, so a pool that handed the
+//! results back in any other order would change its bytes.
 
 use std::path::PathBuf;
 
@@ -57,3 +62,4 @@ golden_test!(hidden_node_artifacts_match_golden, "engine_hidden");
 golden_test!(massive_artifacts_match_golden, "engine_massive");
 golden_test!(chaos_artifacts_match_golden, "engine_chaos");
 golden_test!(skewed_chaos_artifacts_match_golden, "engine_skew");
+golden_test!(replication_fold_order_matches_golden, "fold_order");
