@@ -37,6 +37,11 @@
 //! finished configs are skipped and re-emitted verbatim, so the final
 //! artifacts are byte-identical to an uninterrupted run.
 //!
+//! Each spec ends with a summary line on stdout: configs computed and
+//! resumed, wall time, events per wall second and, where
+//! `/proc/self/status` exists, the process's peak resident set so far
+//! (`peak RSS N MB`, from `VmHWM`, in MiB).
+//!
 //! A panicking replication is isolated: its config is retried up to
 //! `--max-attempts` times and then quarantined, the rest of the grid
 //! still completes, and the process exits non-zero at the end. A
@@ -232,11 +237,14 @@ fn run_spec(args: &Args, path: &Path) -> Result<usize, String> {
         .iter()
         .filter_map(|r| r.get("events_total")?.parse::<u64>().ok())
         .sum();
-    // Wall-clock throughput goes to stdout only — the artifacts stay
-    // host-independent.
+    // Wall-clock throughput and memory go to stdout only — the
+    // artifacts stay host-independent.
+    let peak_rss = peak_rss_mb()
+        .map(|mb| format!(", peak RSS {mb:.1} MB"))
+        .unwrap_or_default();
     println!(
         "# {}: {} computed, {} resumed, {} lease(s) reclaimed, {} quarantined in {elapsed:.2}s \
-         ({:.0} events/sec wall)",
+         ({:.0} events/sec wall{peak_rss})",
         spec.name,
         outcome.executed,
         outcome.resumed,
@@ -252,6 +260,22 @@ fn run_spec(args: &Args, path: &Path) -> Result<usize, String> {
     println!("# wrote {}", outcome.json_path.display());
     print_failures(path, &args.out_dir, &spec, &points, &outcome.failures);
     Ok(outcome.quarantined.len())
+}
+
+/// This process's peak resident set so far, in MiB, read from
+/// `VmHWM` in `/proc/self/status`; `None` where that file does not
+/// exist.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: f64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim_end()
+        .parse()
+        .ok()?;
+    Some(kib / 1024.0)
 }
 
 fn main() {
