@@ -1,12 +1,12 @@
 //! The shared wireless medium with binary interference.
 //!
 //! This implements the *protocol model*: every node pair is either
-//! audible or not (derived from a path-loss model or given
-//! explicitly), a receiver locks onto the first frame that arrives
-//! while it senses no other energy, and a locked frame is corrupted
-//! if any other audible transmission — or a local transmission —
-//! overlaps any part of its airtime. Clear-channel assessment reports
-//! busy iff any audible energy is present.
+//! audible or not (an explicit directed graph, [`Connectivity`]), a
+//! receiver locks onto the first frame that arrives while it senses
+//! no other energy, and a locked frame is corrupted if any other
+//! audible transmission — or a local transmission — overlaps any part
+//! of its airtime. Clear-channel assessment reports busy iff any
+//! audible energy is present.
 //!
 //! This is exactly the structure the paper's hidden-node analysis
 //! relies on (§6.1): with A–B–C in a line and A, C mutually inaudible,
@@ -17,9 +17,6 @@
 //! drive it with `start_tx` / `end_tx` calls at the appropriate
 //! simulated times and deliver frames to MAC layers themselves.
 
-use crate::geo::Position;
-use crate::pathloss::PathLoss;
-use crate::units::Dbm;
 use std::collections::HashSet;
 
 /// Index of a node known to the medium.
@@ -43,27 +40,15 @@ impl std::fmt::Display for PhyNodeId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TxToken(u64);
 
-/// Who can hear whom.
-///
-/// Alongside the boolean adjacency matrix, a CSR (offset + flat
-/// slice) listener table is precomputed at construction so the
-/// per-transmission fan-out in [`Medium::start_tx_on`]/[`Medium::end_tx`]
-/// is a slice walk instead of an n-wide filter scan — and needs no
-/// per-call allocation.
+/// Who can hear whom, as a CSR listener table: row `i` lists the
+/// nodes that hear node `i`, ascending. The per-transmission fan-out
+/// in [`Medium::start_tx_on`]/[`Medium::end_tx`] is a slice walk that
+/// needs no per-call allocation, [`Connectivity::hears`] is a binary
+/// search of one row, and the table takes O(n + E) memory at any
+/// population.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Connectivity {
-    n: usize,
-    /// Row-major n×n adjacency, diagonal false. **Empty when built
-    /// sparsely**: the edge-list constructors
-    /// ([`Connectivity::explicit`]/[`Connectivity::symmetric`]) skip
-    /// the matrix above [`Connectivity::DENSE_LIMIT`] nodes and
-    /// [`Connectivity::hears`] binary-searches the CSR row instead —
-    /// a dense matrix at 50 000 nodes would be 2.5 GB. The
-    /// position-derived constructors ([`Connectivity::from_pathloss`],
-    /// [`Connectivity::full`]) are inherently O(n²) and keep the
-    /// matrix at any size.
-    audible: Vec<bool>,
-    /// CSR row offsets: listeners of node `i` live at
+    /// CSR row offsets, `n + 1` of them: listeners of node `i` live at
     /// `flat[offsets[i]..offsets[i+1]]`.
     offsets: Vec<u32>,
     /// Flattened listener lists, ascending within each row.
@@ -71,40 +56,14 @@ pub struct Connectivity {
 }
 
 impl Connectivity {
-    /// Node count above which edge-list constructors skip the dense
-    /// adjacency matrix and keep only the CSR table.
-    pub const DENSE_LIMIT: usize = 2_048;
-
-    /// Finishes construction from an adjacency matrix by building the
-    /// CSR listener table.
-    fn from_matrix(n: usize, audible: Vec<bool>) -> Self {
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut flat = Vec::new();
-        offsets.push(0u32);
-        for i in 0..n {
-            for j in 0..n {
-                if audible[i * n + j] {
-                    flat.push(PhyNodeId(j as u32));
-                }
-            }
-            offsets.push(flat.len() as u32);
-        }
-        Connectivity {
-            n,
-            audible,
-            offsets,
-            flat,
-        }
-    }
-
-    /// Builds the CSR table straight from a directed edge list,
-    /// without materialising the n² matrix. Used by the edge-list
-    /// constructors above [`Connectivity::DENSE_LIMIT`] nodes.
+    /// Builds connectivity from an explicit edge list. Edges are
+    /// directed `(transmitter, receiver)`, and duplicates count once;
+    /// use [`Connectivity::symmetric`] for bidirectional links.
     ///
     /// # Panics
     ///
     /// Panics on out-of-range node indices or self-loops.
-    fn from_edges_sparse(n: usize, edges: &[(u32, u32)]) -> Self {
+    pub fn explicit(n: usize, edges: &[(u32, u32)]) -> Self {
         let mut rows: Vec<(u32, u32)> = Vec::with_capacity(edges.len());
         for &(i, j) in edges {
             assert!(
@@ -132,54 +91,7 @@ impl Connectivity {
             next_row += 1;
         }
         debug_assert_eq!(offsets.len(), n + 1);
-        Connectivity {
-            n,
-            audible: Vec::new(),
-            offsets,
-            flat,
-        }
-    }
-    /// Derives connectivity from positions and a path-loss model:
-    /// `j` hears `i` iff the power received from `i` at `j`'s position
-    /// is at least `sensitivity`.
-    pub fn from_pathloss(
-        positions: &[Position],
-        model: &PathLoss,
-        tx_power: Dbm,
-        sensitivity: Dbm,
-    ) -> Self {
-        let n = positions.len();
-        let mut audible = vec![false; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    let d = positions[i].distance_to(positions[j]);
-                    audible[i * n + j] = model.audible(tx_power, sensitivity, d);
-                }
-            }
-        }
-        Connectivity::from_matrix(n, audible)
-    }
-
-    /// Builds connectivity from an explicit edge list. Edges are
-    /// directed `(transmitter, receiver)`; use [`Connectivity::symmetric`]
-    /// for bidirectional links.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range node indices or self-loops.
-    pub fn explicit(n: usize, edges: &[(u32, u32)]) -> Self {
-        if n > Self::DENSE_LIMIT {
-            return Connectivity::from_edges_sparse(n, edges);
-        }
-        let mut audible = vec![false; n * n];
-        for &(i, j) in edges {
-            let (i, j) = (i as usize, j as usize);
-            assert!(i < n && j < n, "edge ({i},{j}) out of range (n={n})");
-            assert_ne!(i, j, "self-loop ({i},{i})");
-            audible[i * n + j] = true;
-        }
-        Connectivity::from_matrix(n, audible)
+        Connectivity { offsets, flat }
     }
 
     /// Builds symmetric connectivity from an undirected edge list.
@@ -196,30 +108,27 @@ impl Connectivity {
     /// domain, e.g. the star testbed where "all nodes can hear each
     /// other").
     pub fn full(n: usize) -> Self {
-        let mut audible = vec![true; n * n];
-        for i in 0..n {
-            audible[i * n + i] = false;
-        }
-        Connectivity::from_matrix(n, audible)
+        let n32 = n as u32;
+        let edges: Vec<(u32, u32)> = (0..n32)
+            .flat_map(|i| (0..n32).filter(move |&j| j != i).map(move |j| (i, j)))
+            .collect();
+        Connectivity::explicit(n, &edges)
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.n
+        self.offsets.len() - 1
     }
 
     /// Returns `true` if the topology has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.len() == 0
     }
 
-    /// Can `rx` hear `tx`? O(1) on dense topologies, O(log degree) on
-    /// sparse ones (CSR rows are sorted ascending).
+    /// Can `rx` hear `tx`? A binary search of `tx`'s listener row,
+    /// O(log degree).
     pub fn hears(&self, rx: PhyNodeId, tx: PhyNodeId) -> bool {
-        if self.audible.is_empty() {
-            return self.listeners(tx).binary_search(&rx).is_ok();
-        }
-        self.audible[tx.index() * self.n + rx.index()]
+        self.listeners(tx).binary_search(&rx).is_ok()
     }
 
     /// The nodes audible from `tx` (its interference set), ascending —
@@ -227,12 +136,6 @@ impl Connectivity {
     pub fn listeners(&self, tx: PhyNodeId) -> &[PhyNodeId] {
         let i = tx.index();
         &self.flat[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// Iterator over the nodes audible from `tx` (its interference
-    /// set).
-    pub fn listeners_of(&self, tx: PhyNodeId) -> impl Iterator<Item = PhyNodeId> + '_ {
-        self.listeners(tx).iter().copied()
     }
 
     /// Neighbour count of `tx`.
@@ -834,33 +737,135 @@ mod tests {
     }
 
     #[test]
-    fn connectivity_from_pathloss_matches_range() {
-        use crate::geo::Position;
-        use crate::units::Dbm;
-        let model = PathLoss::indoor_2_4ghz();
-        let tx = Dbm::new(-9.0);
-        let sens = Dbm::new(-72.0);
-        let range = model.max_range(tx, sens);
-        let positions = [
-            Position::new(0.0, 0.0),
-            Position::new(range * 0.9, 0.0),
-            Position::new(range * 1.8, 0.0),
-        ];
-        let conn = Connectivity::from_pathloss(&positions, &model, tx, sens);
-        assert!(conn.bidirectional(PhyNodeId(0), PhyNodeId(1)));
-        assert!(conn.bidirectional(PhyNodeId(1), PhyNodeId(2)));
-        assert!(
-            !conn.hears(PhyNodeId(2), PhyNodeId(0)),
-            "0–2 must be hidden"
-        );
-        assert_eq!(conn.degree(PhyNodeId(1)), 2);
+    fn listeners_iterator() {
+        let conn = Connectivity::symmetric(3, &[(0, 1), (1, 2)]);
+        assert_eq!(conn.listeners(PhyNodeId(1)), [PhyNodeId(0), PhyNodeId(2)]);
+    }
+
+    // ---- The listener table against a dense model ----
+
+    /// SplitMix64: a seeded stream for the randomized model checks
+    /// (this crate has no RNG dependency).
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        }
+    }
+
+    /// The n × n answer of a directed edge list: `m[tx * n + rx]`.
+    fn dense_model(n: usize, edges: &[(u32, u32)]) -> Vec<bool> {
+        let mut m = vec![false; n * n];
+        for &(tx, rx) in edges {
+            m[tx as usize * n + rx as usize] = true;
+        }
+        m
+    }
+
+    /// Every edge in both directions.
+    fn both_ways(edges: &[(u32, u32)]) -> Vec<(u32, u32)> {
+        edges.iter().flat_map(|&(a, b)| [(a, b), (b, a)]).collect()
+    }
+
+    /// Checks every query of `conn` against the dense model: each
+    /// node's whole row, and the pair queries for every node within
+    /// `reach` ids of it (where a lattice keeps all its links).
+    fn assert_matches_model(conn: &Connectivity, n: usize, m: &[bool], reach: usize) {
+        assert_eq!(conn.len(), n);
+        assert_eq!(conn.is_empty(), n == 0);
+        for tx in 0..n {
+            let t = PhyNodeId(tx as u32);
+            // The model's row, ascending by construction.
+            let row: Vec<PhyNodeId> = (0..n)
+                .filter(|&rx| m[tx * n + rx])
+                .map(|rx| PhyNodeId(rx as u32))
+                .collect();
+            assert_eq!(conn.listeners(t), row, "row of {t}");
+            assert_eq!(conn.degree(t), row.len(), "degree of {t}");
+            for rx in tx.saturating_sub(reach)..n.min(tx + reach + 1) {
+                let r = PhyNodeId(rx as u32);
+                assert_eq!(conn.hears(r, t), m[tx * n + rx], "{r} hears {t}");
+                assert_eq!(
+                    conn.bidirectional(t, r),
+                    m[tx * n + rx] && m[rx * n + tx],
+                    "{t} <-> {r}"
+                );
+            }
+        }
     }
 
     #[test]
-    fn listeners_iterator() {
-        let conn = Connectivity::symmetric(3, &[(0, 1), (1, 2)]);
-        let l: Vec<_> = conn.listeners_of(PhyNodeId(1)).collect();
-        assert_eq!(l, vec![PhyNodeId(0), PhyNodeId(2)]);
+    fn listener_table_matches_a_dense_model() {
+        let mut rng = SplitMix(0x5EED);
+        for case in 0..300 {
+            let n = 1 + rng.below(48) as usize;
+            // Up to twice the n·(n−1) possible links, so dense cases
+            // repeat most edges.
+            let count = if n < 2 {
+                0
+            } else {
+                rng.below(2 * (n * (n - 1)) as u64 + 1) as usize
+            };
+            let mut edges: Vec<(u32, u32)> = Vec::with_capacity(count);
+            while edges.len() < count {
+                let (a, b) = (rng.below(n as u64) as u32, rng.below(n as u64) as u32);
+                if a != b {
+                    edges.push((a, b));
+                }
+            }
+            let conn = Connectivity::explicit(n, &edges);
+            assert_matches_model(&conn, n, &dense_model(n, &edges), n);
+
+            assert_eq!(
+                Connectivity::symmetric(n, &edges),
+                Connectivity::explicit(n, &both_ways(&edges)),
+                "case {case}: symmetric vs explicit over both directions"
+            );
+
+            let mut all = vec![true; n * n];
+            for i in 0..n {
+                all[i * n + i] = false;
+            }
+            assert_matches_model(&Connectivity::full(n), n, &all, n);
+        }
+    }
+
+    #[test]
+    fn large_lattices_match_a_dense_model() {
+        // Populations on both sides of the former 2,048-node dense
+        // cut-off: a 64-wide lattice, each node linked to its right
+        // and lower neighbours where they exist.
+        const W: u32 = 64;
+        for n in [2_049u32, 4_096] {
+            let edges: Vec<(u32, u32)> = (0..n)
+                .flat_map(|i| {
+                    let right = (i % W + 1 < W && i + 1 < n).then_some((i, i + 1));
+                    let down = (i + W < n).then_some((i, i + W));
+                    right.into_iter().chain(down)
+                })
+                .collect();
+            let n = n as usize;
+            let conn = Connectivity::symmetric(n, &edges);
+            let model = dense_model(n, &both_ways(&edges));
+            assert_matches_model(&conn, n, &model, 2 * W as usize);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loop")]
+    fn self_loop_panics() {
+        let _ = Connectivity::explicit(3, &[(0, 1), (2, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_edge_panics() {
+        let _ = Connectivity::explicit(3, &[(0, 1), (1, 3)]);
     }
 
     // ---- Multi-channel behaviour (DSME CFP) ----

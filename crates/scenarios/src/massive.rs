@@ -2,7 +2,7 @@
 //! plane — the workload the slot-synchronous kernel (one tick sweep
 //! per subslot boundary over a SoA world) exists for.
 //!
-//! Two topology families, both O(E) in memory thanks to the sparse
+//! Two topology families, both O(n + E) in memory thanks to the CSR
 //! connectivity and CSR neighbour-level tables:
 //!
 //! * **hidden-star** — `n − 1` mutually hidden sources around one
@@ -252,7 +252,7 @@ mod tests {
 
     #[test]
     fn thousand_node_star_runs_quickly() {
-        // The scale smoke: 1k sources, sparse connectivity, parked
+        // The scale smoke: 1k sources, CSR connectivity, parked
         // ticks. Keeps CI honest about the O(E) memory claim.
         let p = ScenarioParams {
             topology: MassiveTopology::HiddenStar,

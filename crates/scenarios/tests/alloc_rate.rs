@@ -3,12 +3,14 @@
 //! the allocator: each case runs one grid point twice at the same
 //! seed, once short and once long, and the allocations the longer run
 //! adds per extra event must stay (near) zero. Building a world
-//! allocates per world, not per node.
+//! allocates per world, not per node, and requests the same bytes per
+//! node at any population.
 //!
-//! A counting global allocator counts `alloc` and `realloc` calls on
-//! the calling thread only. The counter is a `const`-initialised
-//! thread-local without a destructor, so reading it never allocates,
-//! and libtest's other threads cannot change a test's count.
+//! A counting global allocator counts `alloc` and `realloc` calls,
+//! and sums the bytes they request, on the calling thread only. The
+//! counters are `const`-initialised thread-locals without a
+//! destructor, so reading them never allocates, and libtest's other
+//! threads cannot change a test's counts.
 
 #![allow(unsafe_code)]
 
@@ -21,23 +23,27 @@ use qma_scenarios::{
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Counts one allocation call that requests `bytes`.
+fn count_one(bytes: usize) {
     // `try_with`: never panic inside the allocator, even while the
     // thread is being torn down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
-/// The system allocator, counting allocation calls per thread.
+/// The system allocator, counting allocation calls and requested
+/// bytes per thread.
 struct CountingAlloc;
 
 // SAFETY: every method forwards its arguments verbatim to the system
-// allocator; the only addition is a thread-local counter increment,
-// which neither allocates nor touches the returned memory.
+// allocator; the only addition is two thread-local counter increments,
+// which neither allocate nor touch the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller's `alloc` contract is passed on unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -48,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: `ptr` came from this allocator, which is `System`;
         // the caller's `realloc` contract is passed on unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -132,6 +138,19 @@ fn massive_grid_allocates_at_most_1e4_per_extra_event() {
     );
 }
 
+/// A QMA lattice of `nodes` nodes at δ = 2 pkt/s, 5 packets, 5 s.
+fn qma_grid(nodes: usize) -> ScenarioParams {
+    ScenarioParams {
+        mac: MacKind::Qma,
+        nodes,
+        delta: 2.0,
+        packets: 5,
+        duration_s: 5,
+        topology: MassiveTopology::Grid,
+        ..ScenarioParams::default()
+    }
+}
+
 #[test]
 fn building_a_grid_allocates_the_same_at_any_size() {
     // `SimBuilder::build` over QMA lattices of 100, 1,024 and 4,096
@@ -141,15 +160,7 @@ fn building_a_grid_allocates_the_same_at_any_size() {
     let counts: Vec<u64> = [100, 1024, 4096]
         .into_iter()
         .map(|nodes| {
-            let p = ScenarioParams {
-                mac: MacKind::Qma,
-                nodes,
-                delta: 2.0,
-                packets: 5,
-                duration_s: 5,
-                topology: MassiveTopology::Grid,
-                ..ScenarioParams::default()
-            };
+            let p = qma_grid(nodes);
             let topo = massive::build_topology(&p);
             let (builder, _) = massive::sim_builder(&p, &topo, SEED, Some(p.packets));
             let before = ALLOCS.with(Cell::get);
@@ -162,5 +173,32 @@ fn building_a_grid_allocates_the_same_at_any_size() {
     assert!(
         counts.windows(2).all(|w| w[0] == w[1]),
         "build allocations grew with the population: {counts:?} at 100, 1,024 and 4,096 nodes"
+    );
+}
+
+#[test]
+fn building_a_grid_requests_the_same_bytes_per_node_at_any_size() {
+    // The topology plus the built world, over QMA lattices of 1,024,
+    // 2,025 and 4,096 nodes (32², 45² and 64²): the audibility graph
+    // and every per-node table take O(n + E) bytes, so the bytes
+    // requested per node stay within 5 % of the 4,096-node figure.
+    let per_node: Vec<f64> = [1024, 2025, 4096]
+        .into_iter()
+        .map(|nodes| {
+            let p = qma_grid(nodes);
+            let before = BYTES.with(Cell::get);
+            let topo = massive::build_topology(&p);
+            let (builder, _) = massive::sim_builder(&p, &topo, SEED, Some(p.packets));
+            let sim = builder.build();
+            let bytes = BYTES.with(Cell::get) - before;
+            assert_eq!(topo.len(), nodes, "{nodes} nodes is a square lattice");
+            drop(sim);
+            bytes as f64 / nodes as f64
+        })
+        .collect();
+    let reference = per_node[2];
+    assert!(
+        per_node.iter().all(|b| (b / reference - 1.0).abs() <= 0.05),
+        "bytes per node at 1,024, 2,025 and 4,096 nodes: {per_node:.0?}"
     );
 }

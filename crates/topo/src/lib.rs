@@ -12,10 +12,10 @@
 //! * [`concentric_rings`] — the scalability topology of Fig. 20
 //!   (hexagonal rings: 7, 19, 43, 91 nodes),
 //!
-//! plus generic helpers ([`line`], [`grid`], [`random_disk`]) used by
-//! tests and extensions. Every topology carries positions, the
-//! audibility graph, the paper's node labels, the data sink and a
-//! routing tree toward it.
+//! plus generic helpers ([`fn@line`], [`grid`]) used by tests and the
+//! massive-access grid. Every topology carries positions, the
+//! audibility graph (an explicit edge list), the paper's node labels,
+//! the data sink and a routing tree toward it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +23,7 @@
 pub mod shapes;
 pub mod testbed;
 
-pub use shapes::{concentric_rings, grid, hidden_node, hidden_star, line, random_disk};
+pub use shapes::{concentric_rings, grid, hidden_node, hidden_star, line};
 pub use testbed::{iotlab_star, iotlab_tree};
 
 use qma_phy::{Connectivity, Position};
@@ -82,9 +82,9 @@ impl Topology {
         d
     }
 
-    /// Validates structural invariants (used by tests and on
-    /// construction in debug builds): parents are audible both ways
-    /// and every node reaches the sink.
+    /// Validates structural invariants (the tests call it; the
+    /// constructors do not): parents are audible both ways and every
+    /// node reaches the sink.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.len();
         if self.connectivity.len() != n || self.labels.len() != n || self.parent.len() != n {

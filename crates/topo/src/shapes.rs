@@ -1,8 +1,6 @@
 //! Geometric topology constructors.
 
-use rand::Rng;
-
-use qma_phy::{Connectivity, PathLoss, PhyNodeId, Position};
+use qma_phy::{Connectivity, PhyNodeId, Position};
 
 use crate::Topology;
 
@@ -213,73 +211,9 @@ pub fn concentric_rings(rings: usize, ring_spacing: f64) -> Topology {
     }
 }
 
-/// `n` nodes uniformly random in a disk of `radius` metres around a
-/// central sink, connected by the path-loss model; useful for
-/// randomized robustness tests. Regenerates until the topology is
-/// connected (bounded attempts).
-///
-/// # Panics
-///
-/// Panics if `n < 2` or no connected deployment is found within 200
-/// attempts (radius too large for the radio range).
-pub fn random_disk<R: Rng + ?Sized>(
-    n: usize,
-    radius: f64,
-    model: &PathLoss,
-    tx_dbm: f64,
-    sens_dbm: f64,
-    rng: &mut R,
-) -> Topology {
-    assert!(n >= 2, "need at least two nodes");
-    let tx = qma_phy::Dbm::new(tx_dbm);
-    let sens = qma_phy::Dbm::new(sens_dbm);
-    for _attempt in 0..200 {
-        let mut positions = vec![Position::ORIGIN];
-        for _ in 1..n {
-            let r = radius * rng.gen::<f64>().sqrt();
-            let a = 2.0 * std::f64::consts::PI * rng.gen::<f64>();
-            positions.push(Position::polar(Position::ORIGIN, r, a));
-        }
-        let connectivity = Connectivity::from_pathloss(&positions, model, tx, sens);
-        if let Some(parent) = bfs_tree(&connectivity, 0) {
-            return Topology {
-                name: "random-disk",
-                positions,
-                connectivity,
-                labels: (0..n as u32).collect(),
-                sink: 0,
-                parent,
-            };
-        }
-    }
-    panic!("no connected random deployment found; shrink the radius");
-}
-
-/// Builds a BFS routing tree toward `root`; `None` if disconnected.
-fn bfs_tree(conn: &Connectivity, root: usize) -> Option<Vec<Option<usize>>> {
-    let n = conn.len();
-    let mut parent: Vec<Option<usize>> = vec![None; n];
-    let mut visited = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    visited[root] = true;
-    queue.push_back(root);
-    while let Some(u) = queue.pop_front() {
-        for v in 0..n {
-            if !visited[v] && conn.bidirectional(PhyNodeId(u as u32), PhyNodeId(v as u32)) {
-                visited[v] = true;
-                parent[v] = Some(u);
-                queue.push_back(v);
-            }
-        }
-    }
-    visited.iter().all(|&v| v).then_some(parent)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn hidden_node_is_hidden() {
@@ -387,19 +321,5 @@ mod tests {
         let t = line(4, 10.0);
         assert_eq!(t.depth(3), 3);
         assert!(!t.connectivity.hears(PhyNodeId(0), PhyNodeId(2)));
-    }
-
-    #[test]
-    fn random_disk_is_connected_and_reproducible() {
-        let model = PathLoss::indoor_2_4ghz();
-        let mut rng1 = StdRng::seed_from_u64(5);
-        let mut rng2 = StdRng::seed_from_u64(5);
-        let t1 = random_disk(12, 40.0, &model, 0.0, -85.0, &mut rng1);
-        let t2 = random_disk(12, 40.0, &model, 0.0, -85.0, &mut rng2);
-        t1.validate().unwrap();
-        assert_eq!(t1.positions.len(), t2.positions.len());
-        for (a, b) in t1.positions.iter().zip(&t2.positions) {
-            assert_eq!(a, b, "random topology not reproducible");
-        }
     }
 }

@@ -1,16 +1,20 @@
 //! The FIT IoT-LAB Strasbourg testbed topologies of §6.2.
 //!
-//! The paper runs on physical M3 nodes; we reconstruct the two
-//! deployments geometrically and derive connectivity from the stated
-//! radio settings:
+//! The paper runs on physical M3 nodes. Both deployments are rebuilt
+//! here as explicit audibility graphs that follow the paper's account
+//! of who hears whom. The radio settings it states are listed below
+//! but enter no computation, and the positions are only
+//! presentational:
 //!
 //! * **Tree** (Fig. 16): 10 nodes, depth 4, generated with the
 //!   Kauer-Turau topology-construction method at −9 dBm transmit
 //!   power and −72 dBm sensitivity. "Only transmissions of parents
 //!   and children and siblings in the tree interfere with each
-//!   other" — we build exactly that audibility graph.
+//!   other" — we build exactly that audibility graph, as
+//!   [`Connectivity::symmetric`] edges.
 //! * **Star** (Fig. 17): 17 nodes, 3 dBm / −90 dBm, all nodes in one
-//!   collision domain ("all nodes can hear each other").
+//!   collision domain ("all nodes can hear each other"):
+//!   [`Connectivity::full`].
 
 use qma_phy::{Connectivity, Position};
 

@@ -15,7 +15,7 @@
 //! | [`core`] | `qma-core` | the QMA agent: Q-table, rewards, exploration, cautious startup |
 //! | [`mac`] | `qma-mac` | QMA MAC adapter + slotted/unslotted CSMA/CA |
 //! | [`des`] | `qma-des` | deterministic discrete-event kernel |
-//! | [`phy`] | `qma-phy` | radio medium, path loss, timing, energy |
+//! | [`phy`] | `qma-phy` | radio medium, audibility graph, timing, energy |
 //! | [`netsim`] | `qma-netsim` | nodes, frames, frame clock, metrics, world |
 //! | [`dsme`] | `qma-dsme` | multi-superframes, SAB, GTS 3-way handshake |
 //! | [`net`] | `qma-net` | traffic patterns, collection app, GPSR-lite |
