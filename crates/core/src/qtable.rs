@@ -41,17 +41,20 @@ impl Default for UpdateParams {
     }
 }
 
-/// A dense per-subslot Q-table with its policy: a view of one table
-/// in a [`QArena`].
+/// A dense per-subslot Q-table with its policy: a thin handle on one
+/// table in a [`QArena`].
 ///
-/// Each subslot is one row holding its three Q-values next to its
-/// policy action (16 B for `f32`, 8 B for [`crate::Fixed16`]). An
-/// update and the decision that follows it therefore read one row.
-/// [`QTable::new`] builds a table in an arena of its own, so its rows
-/// are contiguous; [`QArena::table`] hands out the tables of one
-/// shared, subslot-major arena. Either way the table owns its rows:
-/// no other table reads or writes them, and [`Clone`] copies them
-/// into a new one-table arena.
+/// The arena keeps its Q-values and its policies in two parallel
+/// subslot-major runs: one `[Q; 3]` and one [`QmaAction`] per subslot
+/// and table, 13 B per subslot for `f32` (7 B for
+/// [`crate::Fixed16`]) where one row holding both would pad to 16 B
+/// (8 B). An update reads one entry of each run. A table is one
+/// [`Rc`] to its arena's block plus its index there (16 B).
+/// [`QTable::new`] builds a table in an arena of its own, so its
+/// entries are contiguous; [`QArena::table`] hands out the tables of
+/// one shared arena. Either way the table owns its entries: no other
+/// table reads or writes them, and [`Clone`] copies them into a new
+/// one-table arena.
 ///
 /// # Examples
 ///
@@ -68,66 +71,70 @@ impl Default for UpdateParams {
 /// assert_eq!(t.policy(0), QmaAction::Send);
 /// ```
 pub struct QTable<Q: QValue> {
-    rows: Rc<[Row<Q>]>,
+    block: Rc<Block<Q>>,
     /// This table's index in the arena.
     slot: u32,
-    /// Tables in the arena: the distance between two consecutive rows
-    /// of one table.
-    stride: u32,
+}
+
+/// The Q-values of one subslot: `Q(m, a)` for every action, indexed
+/// by [`QmaAction::index`].
+type QRow<Q> = [Cell<Q>; QmaAction::COUNT];
+
+/// The storage of a [`QArena`], shared by its tables: entry `m` of
+/// table `t` sits at `m × tables + t` of both runs. Each cell is a
+/// [`Cell`] that its one owning table reads and writes on its own.
+struct Block<Q: QValue> {
+    q: Box<[QRow<Q>]>,
+    /// π(m), at the index of its subslot's Q-values.
+    policy: Box<[Cell<QmaAction>]>,
+    /// Tables in the block: the distance between two consecutive
+    /// entries of one table.
+    tables: u32,
     subslots: u16,
 }
 
-/// One subslot of a [`QTable`]: `Q(m, a)` for every action, indexed
-/// by [`QmaAction::index`], and the policy action π(m). The rows of an
-/// arena are shared by its tables, so each field is a [`Cell`] that
-/// its one owning table reads and writes on its own; a row keeps the
-/// plain 16-B layout.
-#[derive(Debug, Clone, PartialEq)]
-struct Row<Q: Copy> {
-    q: [Cell<Q>; QmaAction::COUNT],
-    policy: Cell<QmaAction>,
-}
-
-impl<Q: QValue> Row<Q> {
-    /// Algorithm 1's initial row: every Q-value at `init`, QBackoff.
-    fn initial(init: Q) -> Self {
-        Row {
-            q: [Cell::new(init), Cell::new(init), Cell::new(init)],
-            policy: Cell::new(QmaAction::Backoff),
+impl<Q: QValue> Block<Q> {
+    /// Algorithm 1's initial tables: every Q-value at `init`, every
+    /// policy QBackoff.
+    fn new(tables: u32, subslots: u16, init: Q) -> Self {
+        let len = tables as usize * subslots as usize;
+        let row: QRow<Q> = [Cell::new(init), Cell::new(init), Cell::new(init)];
+        Block {
+            q: vec![row; len].into_boxed_slice(),
+            policy: vec![Cell::new(QmaAction::Backoff); len].into_boxed_slice(),
+            tables,
+            subslots,
         }
-    }
-
-    /// `maxₐ Q(m, a)`, folded in table order.
-    fn max(&self) -> Q {
-        let [backoff, cca, send] = &self.q;
-        backoff.get().take_max(cca.get()).take_max(send.get())
-    }
-
-    /// Eq. 3: switch to the argmax action only if its Q-value is
-    /// strictly greater than the current policy's Q-value.
-    fn refresh_policy(&self) {
-        let mut best = self.policy.get();
-        let mut best_q = self.q[best.index()].get();
-        for a in QmaAction::ALL {
-            let q = self.q[a.index()].get();
-            if q > best_q {
-                best = a;
-                best_q = q;
-            }
-        }
-        self.policy.set(best);
-    }
-
-    fn values(&self) -> ([Q; QmaAction::COUNT], QmaAction) {
-        (self.q.each_ref().map(Cell::get), self.policy.get())
     }
 }
 
-/// The Q-tables of many agents in one subslot-major block: row `m`
-/// of table `t` sits at `m × tables + t`, so row `m` of every table is
-/// one contiguous run — the access shape of a boundary sweep, which
-/// visits the due nodes of one subslot in ascending id. One arena
-/// holds a world's tables; [`QArena::table`] hands each one out once.
+/// `maxₐ Q(m, a)`, folded in table order.
+fn row_max<Q: QValue>(q: &QRow<Q>) -> Q {
+    let [backoff, cca, send] = q;
+    backoff.get().take_max(cca.get()).take_max(send.get())
+}
+
+/// Eq. 3: switch to the argmax action only if its Q-value is strictly
+/// greater than the current policy's Q-value.
+fn refresh_policy<Q: QValue>(q: &QRow<Q>, policy: &Cell<QmaAction>) {
+    let mut best = policy.get();
+    let mut best_q = q[best.index()].get();
+    for a in QmaAction::ALL {
+        let v = q[a.index()].get();
+        if v > best_q {
+            best = a;
+            best_q = v;
+        }
+    }
+    policy.set(best);
+}
+
+/// The Q-tables of many agents in one subslot-major block: entry `m`
+/// of table `t` sits at `m × tables + t`, so subslot `m` of every
+/// table is one contiguous run of Q-values and one of policies — the
+/// access shape of a boundary sweep, which visits the due nodes of one
+/// subslot in ascending id. One arena holds a world's tables;
+/// [`QArena::table`] hands each one out once.
 ///
 /// # Examples
 ///
@@ -144,16 +151,14 @@ impl<Q: QValue> Row<Q> {
 /// assert_eq!(b.policy(0), QmaAction::Backoff);
 /// ```
 pub struct QArena<Q: QValue = f32> {
-    rows: Rc<[Row<Q>]>,
-    tables: u32,
-    subslots: u16,
+    block: Rc<Block<Q>>,
     /// Which tables [`QArena::table`] has handed out.
     taken: Box<[Cell<bool>]>,
 }
 
 impl<Q: QValue> QArena<Q> {
-    /// Creates `tables` tables of `subslots` rows, every Q-value at
-    /// `init` and every policy at QBackoff (Algorithm 1).
+    /// Creates `tables` tables of `subslots` subslots, every Q-value
+    /// at `init` and every policy at QBackoff (Algorithm 1).
     ///
     /// # Panics
     ///
@@ -164,9 +169,7 @@ impl<Q: QValue> QArena<Q> {
         assert!(subslots > 0, "need at least one subslot");
         let count = u32::try_from(tables).expect("table count fits in u32");
         QArena {
-            rows: initial_rows(tables * subslots as usize, Q::from_f32(init)),
-            tables: count,
-            subslots,
+            block: Rc::new(Block::new(count, subslots, Q::from_f32(init))),
             taken: (0..tables).map(|_| Cell::new(false)).collect(),
         }
     }
@@ -176,7 +179,7 @@ impl<Q: QValue> QArena<Q> {
     /// # Panics
     ///
     /// Panics if `index` is out of range or was handed out before: two
-    /// views of one table would update each other's rows.
+    /// views of one table would update each other's entries.
     pub fn table(&self, index: usize) -> QTable<Q> {
         let taken = self
             .taken
@@ -184,17 +187,10 @@ impl<Q: QValue> QArena<Q> {
             .unwrap_or_else(|| panic!("table {index} out of range"));
         assert!(!taken.replace(true), "table {index} was handed out before");
         QTable {
-            rows: Rc::clone(&self.rows),
+            block: Rc::clone(&self.block),
             slot: index as u32,
-            stride: self.tables,
-            subslots: self.subslots,
         }
     }
-}
-
-/// `len` initial rows in one allocation.
-fn initial_rows<Q: QValue>(len: usize, init: Q) -> Rc<[Row<Q>]> {
-    (0..len).map(|_| Row::initial(init)).collect()
 }
 
 impl<Q: QValue> QTable<Q> {
@@ -208,16 +204,14 @@ impl<Q: QValue> QTable<Q> {
     pub fn new(subslots: u16, init: f32) -> Self {
         assert!(subslots > 0, "need at least one subslot");
         QTable {
-            rows: initial_rows(subslots as usize, Q::from_f32(init)),
+            block: Rc::new(Block::new(1, subslots, Q::from_f32(init))),
             slot: 0,
-            stride: 1,
-            subslots,
         }
     }
 
     /// Number of subslots (states).
     pub fn subslots(&self) -> u16 {
-        self.subslots
+        self.block.subslots
     }
 
     /// The Q-value of `(subslot, action)`.
@@ -226,7 +220,7 @@ impl<Q: QValue> QTable<Q> {
     ///
     /// Panics if `subslot` is out of range.
     pub fn q(&self, subslot: u16, action: QmaAction) -> Q {
-        self.row(subslot).q[action.index()].get()
+        self.q_row(subslot)[action.index()].get()
     }
 
     /// The greedy policy action for a subslot.
@@ -235,12 +229,12 @@ impl<Q: QValue> QTable<Q> {
     ///
     /// Panics if `subslot` is out of range.
     pub fn policy(&self, subslot: u16) -> QmaAction {
-        self.row(subslot).policy.get()
+        self.row(subslot).1.get()
     }
 
     /// `maxₐ Q(subslot, a)` — the bootstrap value of a state.
     pub fn qmax(&self, subslot: u16) -> Q {
-        self.row(subslot).max()
+        row_max(self.q_row(subslot))
     }
 
     /// Applies the paper's Eq. 5 update for the action taken in
@@ -259,40 +253,41 @@ impl<Q: QValue> QTable<Q> {
     ) -> Q {
         // The MAC always passes an in-range subslot; the wrap (and its
         // division) is only for callers that pass `m + 1` at the end.
-        let next = if next_subslot < self.subslots {
+        let subslots = self.subslots();
+        let next = if next_subslot < subslots {
             next_subslot
         } else {
-            next_subslot % self.subslots
+            next_subslot % subslots
         };
         let qmax_next = self.qmax(next);
-        let row = self.row(subslot);
-        let cell = &row.q[action.index()];
+        let (q, policy) = self.row(subslot);
+        let cell = &q[action.index()];
         let q_old = cell.get();
         let target = q_old.bellman_target(reward, qmax_next, params.alpha, params.gamma);
         let new_q = q_old.penalized(params.xi).take_max(target);
         cell.set(new_q);
-        row.refresh_policy();
+        refresh_policy(q, policy);
         new_q
     }
 
     /// Writes a raw Q-value (used by cautious startup's punishments
     /// and by tests), refreshing the policy.
     pub fn set_q(&mut self, subslot: u16, action: QmaAction, value: Q) {
-        let row = self.row(subslot);
-        row.q[action.index()].set(value);
-        row.refresh_policy();
+        let (q, policy) = self.row(subslot);
+        q[action.index()].set(value);
+        refresh_policy(q, policy);
     }
 
-    /// Puts every row back to its initial state: Q-values at `init`,
-    /// policy QBackoff — what [`QTable::new`] builds, in place.
+    /// Puts every subslot back to its initial state: Q-values at
+    /// `init`, policy QBackoff — what [`QTable::new`] builds, in place.
     pub fn reset(&mut self, init: f32) {
         let init = Q::from_f32(init);
-        for m in 0..self.subslots {
-            let row = self.row(m);
-            for cell in &row.q {
+        for m in 0..self.subslots() {
+            let (q, policy) = self.row(m);
+            for cell in q {
                 cell.set(init);
             }
-            row.policy.set(QmaAction::Backoff);
+            policy.set(QmaAction::Backoff);
         }
     }
 
@@ -305,40 +300,80 @@ impl<Q: QValue> QTable<Q> {
 
     /// Iterates over `(subslot, policy action, Q-value)` triples.
     pub fn policy_iter(&self) -> impl Iterator<Item = (u16, QmaAction, f32)> + '_ {
-        (0..self.subslots).map(|m| {
-            let row = self.row(m);
-            let policy = row.policy.get();
-            (m, policy, row.q[policy.index()].get().to_f32())
+        (0..self.subslots()).map(|m| {
+            let (q, policy) = self.row(m);
+            let policy = policy.get();
+            (m, policy, q[policy.index()].get().to_f32())
         })
     }
 
-    /// Row `subslot` of this table: its `slot`-th entry of the arena's
-    /// subslot-major run. A subslot past the last lands past the end
-    /// of the arena, so the one bounds check covers it.
+    /// Index of this table's entry for `subslot` in both runs of the
+    /// block. A subslot past the last lands past the end of the runs,
+    /// so their bounds checks cover it.
     #[inline]
-    fn row(&self, subslot: u16) -> &Row<Q> {
-        self.rows
-            .get(subslot as usize * self.stride as usize + self.slot as usize)
-            .unwrap_or_else(|| panic!("subslot {subslot} out of range"))
+    fn index(&self, subslot: u16) -> usize {
+        subslot as usize * self.block.tables as usize + self.slot as usize
+    }
+
+    /// The Q-values of `subslot`.
+    #[inline]
+    fn q_row(&self, subslot: u16) -> &QRow<Q> {
+        self.block
+            .q
+            .get(self.index(subslot))
+            .unwrap_or_else(|| out_of_range(subslot))
+    }
+
+    /// The Q-values and the policy cell of `subslot`.
+    #[inline]
+    fn row(&self, subslot: u16) -> (&QRow<Q>, &Cell<QmaAction>) {
+        let i = self.index(subslot);
+        match (self.block.q.get(i), self.block.policy.get(i)) {
+            (Some(q), Some(policy)) => (q, policy),
+            _ => out_of_range(subslot),
+        }
+    }
+
+    /// The values of `subslot`: its Q-values and its policy action.
+    fn values(&self, subslot: u16) -> ([Q; QmaAction::COUNT], QmaAction) {
+        let (q, policy) = self.row(subslot);
+        (q.each_ref().map(Cell::get), policy.get())
     }
 }
 
+#[cold]
+#[inline(never)]
+fn out_of_range(subslot: u16) -> ! {
+    panic!("subslot {subslot} out of range")
+}
+
 impl<Q: QValue> Clone for QTable<Q> {
-    /// Copies the rows into a new one-table arena: a clone never
-    /// shares rows with the original.
+    /// Copies the entries into a new one-table arena: a clone never
+    /// shares them with the original.
     fn clone(&self) -> Self {
+        let subslots = self.subslots();
+        let (q, policy): (Vec<_>, Vec<_>) = (0..subslots)
+            .map(|m| {
+                let (q, policy) = self.row(m);
+                (q.clone(), policy.clone())
+            })
+            .unzip();
         QTable {
-            rows: (0..self.subslots).map(|m| self.row(m).clone()).collect(),
+            block: Rc::new(Block {
+                q: q.into_boxed_slice(),
+                policy: policy.into_boxed_slice(),
+                tables: 1,
+                subslots,
+            }),
             slot: 0,
-            stride: 1,
-            subslots: self.subslots,
         }
     }
 }
 
 impl<Q: QValue> PartialEq for QTable<Q> {
     fn eq(&self, other: &Self) -> bool {
-        self.subslots == other.subslots && (0..self.subslots).all(|m| self.row(m) == other.row(m))
+        self.subslots() == other.subslots()
+            && (0..self.subslots()).all(|m| self.values(m) == other.values(m))
     }
 }
 
@@ -347,8 +382,8 @@ impl<Q: QValue> std::fmt::Debug for QTable<Q> {
         f.debug_struct("QTable")
             .field(
                 "rows",
-                &(0..self.subslots)
-                    .map(|m| self.row(m).values())
+                &(0..self.subslots())
+                    .map(|m| self.values(m))
                     .collect::<Vec<_>>(),
             )
             .finish()

@@ -75,8 +75,8 @@ enum Phase {
 
 /// What the QMA nodes of one world share: one agent configuration and
 /// one subslot-major Q arena ([`QArena`]), whose table `i` belongs to
-/// node `i`. A boundary sweep then reads each subslot's rows of all
-/// nodes as one contiguous run.
+/// node `i`. A boundary sweep then reads each subslot's Q-values of
+/// all nodes as one contiguous run, and their policies as another.
 pub struct QmaShared {
     config: Rc<QmaConfig>,
     arena: QArena<f32>,

@@ -81,7 +81,9 @@ pub struct MetricsHub {
     delay: Vec<Welford>,
     queue_level: Vec<TimeWeighted>,
     mac: Vec<MacCounters>,
-    learner: Vec<TimeSeries>, // q_sum over time
+    /// Per node: Σ Q over time; empty without learner recording.
+    learner: Vec<TimeSeries>,
+    /// Per node: ρ over time; empty without learner recording.
     rho: Vec<TimeSeries>,
     /// Node-major action counts, `subslots` cells per node: node `i`
     /// owns `slot_actions[i * subslots..(i + 1) * subslots]`.
@@ -98,11 +100,15 @@ impl MetricsHub {
     ///
     /// `subslots` sizes the slot-action maps of Fig. 13–15 (one flat
     /// node-major array of `n × subslots` cells). With 0 subslots the
-    /// hub keeps no map: [`MetricsHub::slot_action`] is a no-op and
-    /// [`MetricsHub::dominant_slot_actions`] returns an empty list.
-    /// [`crate::SimBuilder::build`] passes 0 unless learner recording
-    /// is on.
+    /// hub records no learner: it keeps no map and no learner series,
+    /// so [`MetricsHub::slot_action`] and
+    /// [`MetricsHub::learner_sample`] are no-ops,
+    /// [`MetricsHub::dominant_slot_actions`] returns an empty list and
+    /// [`MetricsHub::q_sum_series`] and [`MetricsHub::rho_series`]
+    /// an empty series. [`crate::SimBuilder::build`] passes 0 unless
+    /// learner recording is on.
     pub fn new(n: usize, subslots: u16) -> Self {
+        let series = if subslots > 0 { n } else { 0 };
         MetricsHub {
             n,
             app_generated: vec![0; n],
@@ -110,8 +116,8 @@ impl MetricsHub {
             delay: vec![Welford::new(); n],
             queue_level: vec![TimeWeighted::new(0.0, 0.0); n],
             mac: vec![MacCounters::default(); n],
-            learner: vec![TimeSeries::new(); n],
-            rho: vec![TimeSeries::new(); n],
+            learner: vec![TimeSeries::new(); series],
+            rho: vec![TimeSeries::new(); series],
             slot_actions: vec![[0; 3]; n * subslots as usize],
             subslots: subslots as usize,
             named: BTreeMap::new(),
@@ -230,21 +236,37 @@ impl MetricsHub {
 
     // ---- Learning metrics ----
 
-    /// Appends a per-frame learner sample (Fig. 10–12).
+    /// Appends a per-frame learner sample (Fig. 10–12). A hub without
+    /// learner recording (0 subslots) ignores it.
     pub fn learner_sample(&mut self, node: NodeId, now: SimTime, sample: LearnerSample) {
+        if self.subslots == 0 {
+            return;
+        }
         let t = now.as_secs_f64();
         self.learner[node.index()].push(t, sample.q_sum);
         self.rho[node.index()].push(t, sample.rho);
     }
 
-    /// The Σ Q(m, π(m)) time series of a node.
+    /// The Σ Q(m, π(m)) time series of a node (empty without learner
+    /// recording).
     pub fn q_sum_series(&self, node: NodeId) -> &TimeSeries {
-        &self.learner[node.index()]
+        self.series(&self.learner, node)
     }
 
-    /// The ρ time series of a node.
+    /// The ρ time series of a node (empty without learner recording).
     pub fn rho_series(&self, node: NodeId) -> &TimeSeries {
-        &self.rho[node.index()]
+        self.series(&self.rho, node)
+    }
+
+    /// A node's entry of a learner series, or the empty series on a
+    /// hub that keeps none.
+    fn series<'a>(&self, per_node: &'a [TimeSeries], node: NodeId) -> &'a TimeSeries {
+        static EMPTY: TimeSeries = TimeSeries::new();
+        if self.subslots == 0 {
+            &EMPTY
+        } else {
+            &per_node[node.index()]
+        }
     }
 
     // ---- Slot utilization ----
@@ -425,6 +447,24 @@ mod tests {
         h.slot_action(NodeId(1), 0, SlotAction::Tx);
         assert!(h.slot_action_counts(NodeId(1)).is_empty());
         assert!(h.dominant_slot_actions(NodeId(1)).is_empty());
+    }
+
+    #[test]
+    fn hub_without_learner_recording_keeps_no_series() {
+        let mut h = MetricsHub::new(3, 0);
+        assert!(h.learner.is_empty() && h.rho.is_empty());
+        let sample = LearnerSample {
+            q_sum: -40.0,
+            rho: 0.1,
+        };
+        for i in 0..3 {
+            h.learner_sample(NodeId(i), SimTime::from_secs(1), sample);
+        }
+        assert!(h.learner.is_empty() && h.rho.is_empty());
+        for i in 0..3 {
+            assert!(h.q_sum_series(NodeId(i)).is_empty());
+            assert!(h.rho_series(NodeId(i)).is_empty());
+        }
     }
 
     #[test]

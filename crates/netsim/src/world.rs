@@ -97,20 +97,20 @@ enum Event {
     MacTimer {
         node: NodeId,
         kind: MacTimerKind,
-        gen: u64,
+        gen: u32,
     },
     UpperTimer {
         node: NodeId,
         tag: u64,
-        gen: u64,
+        gen: u32,
     },
     TxEnd {
         node: NodeId,
-        gen: u64,
+        gen: u32,
     },
     CcaEnd {
         node: NodeId,
-        gen: u64,
+        gen: u32,
     },
     FrameBoundary,
     /// Fires every subslot tick due at boundary `index` (see
@@ -129,7 +129,88 @@ enum Event {
 #[derive(Debug)]
 struct CcaState {
     saw_energy: bool,
-    gen: u64,
+    gen: u32,
+}
+
+/// A transmission on the air: the medium's token, the frame and who
+/// started it.
+#[derive(Debug)]
+struct OnAir {
+    token: TxToken,
+    frame: Frame,
+    origin: TxOrigin,
+}
+
+/// A pool entry: a transmission on the air, or a free entry.
+#[derive(Debug)]
+struct AirSlot {
+    tx: Option<OnAir>,
+    /// The next free entry while this one is free.
+    next: u32,
+}
+
+/// The transmissions on the air: one `u32` per node into one pool of
+/// entries, since only the nodes transmitting at that moment hold one.
+///
+/// Freed entries form one LIFO list linked through the entries, so an
+/// ended transmission hands its entry to the next one that starts,
+/// and the pool grows only with the peak number of concurrent
+/// transmissions.
+#[derive(Debug)]
+struct AirPool {
+    /// Each node's entry, or [`NO_SLOT`] while it is not transmitting.
+    slot: Vec<u32>,
+    entries: Vec<AirSlot>,
+    /// The first free entry, or [`NO_SLOT`] when every entry is taken.
+    free: u32,
+}
+
+impl AirPool {
+    fn new(n: usize) -> Self {
+        AirPool {
+            slot: vec![NO_SLOT; n],
+            entries: Vec::new(),
+            free: NO_SLOT,
+        }
+    }
+
+    /// Is node `i` transmitting?
+    #[inline]
+    fn on_air(&self, i: usize) -> bool {
+        self.slot[i] != NO_SLOT
+    }
+
+    /// Puts node `i`'s transmission on the air, in the last freed
+    /// entry if there is one.
+    fn start(&mut self, i: usize, tx: OnAir) {
+        debug_assert!(!self.on_air(i));
+        let s = if self.free == NO_SLOT {
+            self.entries.push(AirSlot {
+                tx: Some(tx),
+                next: NO_SLOT,
+            });
+            (self.entries.len() - 1) as u32
+        } else {
+            let s = self.free;
+            let entry = &mut self.entries[s as usize];
+            self.free = entry.next;
+            entry.tx = Some(tx);
+            s
+        };
+        self.slot[i] = s;
+    }
+
+    /// Takes node `i`'s transmission off the air and frees its entry.
+    fn end(&mut self, i: usize) -> Option<OnAir> {
+        let s = std::mem::replace(&mut self.slot[i], NO_SLOT);
+        if s == NO_SLOT {
+            return None;
+        }
+        let entry = &mut self.entries[s as usize];
+        entry.next = self.free;
+        self.free = s;
+        entry.tx.take()
+    }
 }
 
 /// A dense bitmap over node indices — the world's active-set
@@ -370,19 +451,23 @@ struct Nodes {
     /// wherever the head changes.
     partner: Vec<u32>,
     energy: Vec<EnergyMeter>,
-    in_flight: Vec<Option<(TxToken, Frame, TxOrigin)>>,
+    /// The power draw every node's energy meter integrates.
+    power: PowerProfile,
+    air: AirPool,
     cca: Vec<Option<CcaState>>,
-    cca_gen: Vec<u64>,
-    mac_timer_gen: Vec<[u64; MacTimerKind::COUNT]>,
+    // The event generations below move on through `bump`.
+    cca_gen: Vec<u32>,
+    mac_timer_gen: Vec<[u32; MacTimerKind::COUNT]>,
     /// Generation of the current in-flight transmission; a crash
     /// bumps it so the stale `TxEnd` of an aborted frame is ignored.
-    tx_gen: Vec<u64>,
+    tx_gen: Vec<u32>,
     /// Generation of upper-layer timers; a crash bumps it so timers
     /// armed before the outage cannot fire after the reboot (the
     /// rebooted upper re-seeds its own schedule in `start`).
-    upper_gen: Vec<u64>,
+    upper_gen: Vec<u32>,
     /// Signed local-clock offset per node (µs), set by a
-    /// [`crate::FaultKind::ClockSkew`] fault. Zero when healthy.
+    /// [`crate::FaultKind::ClockSkew`] fault; allocated, all zero, by
+    /// the first one. Read only behind `skew_any`.
     skew_us: Vec<i64>,
     /// Fast path: no node has ever been skewed (skips the per-arm
     /// offset lookup entirely).
@@ -474,6 +559,17 @@ impl Nodes {
     fn len(&self) -> usize {
         self.partner.len()
     }
+}
+
+/// Moves an event generation on and returns the new one. Generations
+/// are `u32`s that wrap: a stale event is at most one airtime or one
+/// subslot old, so it could pass for a live one only after 2³² re-arms
+/// of one kind on one node while it is still pending — over 100 days
+/// of simulated time at 440 ticks/s.
+#[inline]
+fn bump(gen: &mut u32) -> u32 {
+    *gen = gen.wrapping_add(1);
+    *gen
 }
 
 /// The `queue_diff` fold behind [`MacCtx::queue_diff`] for node `i`,
@@ -617,7 +713,7 @@ impl World {
         EnergyReport {
             tx_attempts: mac.tx_attempts,
             ccas: mac.ccas,
-            ..self.nodes.energy[node.index()].finish(now.as_micros())
+            ..self.nodes.energy[node.index()].finish(&self.nodes.power, now.as_micros())
         }
     }
 
@@ -632,7 +728,7 @@ impl World {
         let now = sched.now();
         let i = node.index();
         assert!(
-            self.nodes.in_flight[i].is_none(),
+            !self.nodes.air.on_air(i),
             "{node} started a tx while one is in flight"
         );
         frame.src = node;
@@ -652,10 +748,21 @@ impl World {
             }
         }
 
-        self.nodes.energy[i].set_activity(now.as_micros(), qma_phy::RadioActivity::Transmit);
-        self.nodes.in_flight[i] = Some((token, frame, origin));
-        self.nodes.tx_gen[i] += 1;
-        let gen = self.nodes.tx_gen[i];
+        let nodes = &mut self.nodes;
+        nodes.energy[i].set_activity(
+            &nodes.power,
+            now.as_micros(),
+            qma_phy::RadioActivity::Transmit,
+        );
+        nodes.air.start(
+            i,
+            OnAir {
+                token,
+                frame,
+                origin,
+            },
+        );
+        let gen = bump(&mut nodes.tx_gen[i]);
         self.metrics.mac_mut(node).tx_attempts += 1;
         sched.schedule_at(now + airtime, Event::TxEnd { node, gen });
     }
@@ -691,9 +798,7 @@ impl World {
         sched: &mut Scheduler<Event>,
     ) {
         let i = node.index();
-        let gen_slot = &mut self.nodes.mac_timer_gen[i][MacTimerKind::Subslot.index()];
-        *gen_slot += 1;
-        let gen = *gen_slot;
+        let gen = bump(&mut self.nodes.mac_timer_gen[i][MacTimerKind::Subslot.index()]);
         self.nodes.tick_armed.set(i, true);
         let sweep = &mut self.sweep;
         sweep.invalidate(i);
@@ -731,8 +836,7 @@ impl World {
     fn start_cca_internal(&mut self, node: NodeId, sched: &mut Scheduler<Event>) {
         let now = sched.now();
         let i = node.index();
-        self.nodes.cca_gen[i] += 1;
-        let gen = self.nodes.cca_gen[i];
+        let gen = bump(&mut self.nodes.cca_gen[i]);
         self.nodes.cca[i] = Some(CcaState {
             saw_energy: self.medium.is_busy(node.phy()),
             gen,
@@ -982,9 +1086,7 @@ impl<'a> MacCtx<'a> {
         if kind == MacTimerKind::Subslot {
             self.world.sweep.invalidate(i);
         }
-        let gen_slot = &mut self.world.nodes.mac_timer_gen[i][kind.index()];
-        *gen_slot += 1;
-        let gen = *gen_slot;
+        let gen = bump(&mut self.world.nodes.mac_timer_gen[i][kind.index()]);
         let mut at = self.sched.now() + delay;
         if self.world.nodes.skew_any && self.world.nodes.skew_us[i] != 0 {
             at = self.world.skewed_time(i, at);
@@ -1036,7 +1138,7 @@ impl<'a> MacCtx<'a> {
         if kind == MacTimerKind::Subslot {
             self.world.sweep.invalidate(i);
         }
-        self.world.nodes.mac_timer_gen[i][kind.index()] += 1;
+        bump(&mut self.world.nodes.mac_timer_gen[i][kind.index()]);
     }
 
     /// Hands a received frame to the upper layer (after this handler
@@ -1136,7 +1238,7 @@ impl<'a> UpperCtx<'a> {
 
     /// Is a transmission from this node currently in flight?
     pub fn tx_in_flight(&self) -> bool {
-        self.world.nodes.in_flight[self.node.index()].is_some()
+        self.world.nodes.air.on_air(self.node.index())
     }
 
     /// Retunes this node's receiver (GTS channel hopping).
@@ -1385,14 +1487,15 @@ impl<M: MacProtocol, U: UpperLayer> SimBuilder<M, U> {
         let nodes = Nodes {
             queue: TxQueues::new(n, self.queue_capacity),
             partner: vec![NO_SLOT; n],
-            energy: vec![EnergyMeter::new(PowerProfile::default()); n],
-            in_flight: (0..n).map(|_| None).collect(),
+            energy: vec![EnergyMeter::new(); n],
+            power: PowerProfile::default(),
+            air: AirPool::new(n),
             cca: (0..n).map(|_| None).collect(),
             cca_gen: vec![0; n],
             mac_timer_gen: vec![[0; MacTimerKind::COUNT]; n],
             tx_gen: vec![0; n],
             upper_gen: vec![0; n],
-            skew_us: vec![0; n],
+            skew_us: Vec::new(),
             skew_any: false,
             mac_rng: (0..n)
                 .map(|i| seeds.derive(1).derive(i as u64).rng())
@@ -1571,23 +1674,27 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                 nodes.tick_armed.set(i, false);
                 self.world.sweep.invalidate(i);
                 for g in nodes.mac_timer_gen[i].iter_mut() {
-                    *g += 1;
+                    bump(g);
                 }
-                nodes.cca_gen[i] += 1;
+                bump(&mut nodes.cca_gen[i]);
                 nodes.cca[i] = None;
-                nodes.tx_gen[i] += 1;
-                nodes.upper_gen[i] += 1;
-                if let Some((token, _, _)) = nodes.in_flight[i].take() {
-                    self.world.medium.abort_tx(token);
+                bump(&mut nodes.tx_gen[i]);
+                bump(&mut nodes.upper_gen[i]);
+                if let Some(tx) = nodes.air.end(i) {
+                    self.world.medium.abort_tx(tx.token);
                 }
                 self.world.medium.drop_rx_lock(node.phy());
                 let mut lost = 0u64;
                 while self.world.nodes.queue.pop(i).is_some() {
                     lost += 1;
                 }
-                self.world.nodes.partner[i] = NO_SLOT;
-                self.world.nodes.energy[i]
-                    .set_activity(now.as_micros(), qma_phy::RadioActivity::Sleep);
+                let nodes = &mut self.world.nodes;
+                nodes.partner[i] = NO_SLOT;
+                nodes.energy[i].set_activity(
+                    &nodes.power,
+                    now.as_micros(),
+                    qma_phy::RadioActivity::Sleep,
+                );
                 if lost > 0 {
                     // Queue wipe is a *fault* loss, not a MAC drop —
                     // tracked separately so resilience metrics can
@@ -1662,8 +1769,13 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                         }
                     }
                     FaultKind::ClockSkew { nodes, offset_us } => {
+                        let n_nodes = self.world.nodes.len();
+                        let skew_us = &mut self.world.nodes.skew_us;
+                        if skew_us.is_empty() {
+                            skew_us.resize(n_nodes, 0);
+                        }
                         for &n in nodes {
-                            self.world.nodes.skew_us[n as usize] = *offset_us;
+                            skew_us[n as usize] = *offset_us;
                         }
                         if *offset_us != 0 {
                             self.world.nodes.skew_any = true;
@@ -1821,11 +1933,20 @@ impl<M: MacProtocol, U: UpperLayer> Sim<M, U> {
                             // reconciled its energy.
                             return;
                         }
-                        let (token, frame, origin) = self.world.nodes.in_flight[node.index()]
-                            .take()
+                        let nodes = &mut self.world.nodes;
+                        let OnAir {
+                            token,
+                            frame,
+                            origin,
+                        } = nodes
+                            .air
+                            .end(node.index())
                             .expect("TxEnd without in-flight frame");
-                        self.world.nodes.energy[node.index()]
-                            .set_activity(now.as_micros(), qma_phy::RadioActivity::Listen);
+                        nodes.energy[node.index()].set_activity(
+                            &nodes.power,
+                            now.as_micros(),
+                            qma_phy::RadioActivity::Listen,
+                        );
                         // `end_tx` hands back a slice of the medium's
                         // scratch buffer; the enabled-filtered copy
                         // lives in the driver's reusable buffer — no
@@ -2452,6 +2573,160 @@ mod tests {
         sim.run_for(SimDuration::from_millis(100));
         assert_eq!(sim.metrics().get("pops"), 6.0);
         assert_eq!(sim.world().nodes.partner[0], NO_SLOT);
+    }
+
+    /// Arms a heap subslot tick and supersedes it with a swept one 2 ms
+    /// on, arms an ACK timeout and supersedes it, and starts a CCA
+    /// twice; counts what fires and when.
+    struct WrapProbe;
+    impl MacProtocol for WrapProbe {
+        fn start(&mut self, ctx: &mut MacCtx<'_>) {
+            ctx.set_timer(MacTimerKind::Subslot, SimDuration::from_millis(1));
+            let (at, frame, subslot) = ctx
+                .clock()
+                .next_subslot_start(ctx.now() + SimDuration::from_millis(2));
+            ctx.set_subslot_timer_at(at, frame, subslot);
+            ctx.set_timer(MacTimerKind::AckTimeout, SimDuration::from_millis(1));
+            ctx.set_timer(MacTimerKind::AckTimeout, SimDuration::from_millis(2));
+            ctx.start_cca();
+            ctx.start_cca();
+        }
+        fn on_timer(&mut self, ctx: &mut MacCtx<'_>, kind: MacTimerKind) {
+            let (count, at) = match kind {
+                MacTimerKind::Subslot => ("ticks", "tick_at_us"),
+                MacTimerKind::AckTimeout => ("ack_timeouts", "ack_timeout_at_us"),
+                _ => ("other_timers", "other_at_us"),
+            };
+            let (node, now) = (ctx.node, ctx.now().as_micros() as f64);
+            ctx.metrics().count_node(count, node, 1.0);
+            ctx.metrics().count_node(at, node, now);
+        }
+        fn on_frame(&mut self, _: &mut MacCtx<'_>, _: &Frame) {}
+        fn on_tx_end(&mut self, _: &mut MacCtx<'_>) {}
+        fn on_cca_result(&mut self, ctx: &mut MacCtx<'_>, _: bool) {
+            let node = ctx.node;
+            ctx.metrics().count_node("cca_results", node, 1.0);
+        }
+        fn on_enqueue(&mut self, _: &mut MacCtx<'_>) {}
+    }
+
+    #[test]
+    fn timer_generations_wrap_past_u32_max() {
+        // Every generation starts one below the wrap: the first arm
+        // takes u32::MAX and the re-arm wraps to 0 (an unwrapped
+        // `+= 1` panics there in a debug build).
+        let clock = FrameClock::all_cap(10, 1_000);
+        let mut sim = SimBuilder::new(Connectivity::full(1), 7)
+            .clock(clock)
+            .mac_factory(|_, _| Box::new(WrapProbe))
+            .build();
+        let nodes = &mut sim.world.nodes;
+        nodes.mac_timer_gen[0] = [u32::MAX - 1; MacTimerKind::COUNT];
+        nodes.cca_gen[0] = u32::MAX - 1;
+        sim.run_for(SimDuration::from_millis(20));
+        let m = sim.metrics();
+        let node = NodeId(0);
+        // The superseded tick, ACK timeout and CCA are dropped; each
+        // re-armed one fires once, at its own time.
+        let (tick_at, _, _) = clock.next_subslot_start(SimTime::from_millis(2));
+        assert_eq!(m.get_node("ticks", node), 1.0);
+        assert_eq!(m.get_node("tick_at_us", node), tick_at.as_micros() as f64);
+        assert_eq!(m.get_node("ack_timeouts", node), 1.0);
+        assert_eq!(m.get_node("ack_timeout_at_us", node), 2_000.0);
+        assert_eq!(m.get_node("other_timers", node), 0.0);
+        assert_eq!(m.get_node("cca_results", node), 1.0);
+        let nodes = &sim.world.nodes;
+        assert_eq!(nodes.mac_timer_gen[0][MacTimerKind::Subslot.index()], 0);
+        assert_eq!(nodes.mac_timer_gen[0][MacTimerKind::AckTimeout.index()], 0);
+        assert_eq!(nodes.cca_gen[0], 0);
+    }
+
+    /// Nodes 0 and 1 put one frame straight on the PHY at start, as a
+    /// DSME GTS does, and arm a 5 ms timer; counts what fires and
+    /// whether `tx_in_flight` read true before and after the send.
+    struct AirProbe;
+    impl UpperLayer for AirProbe {
+        fn start(&mut self, ctx: &mut UpperCtx<'_>) {
+            let node = ctx.node;
+            if node == NodeId(2) {
+                return;
+            }
+            if ctx.tx_in_flight() {
+                ctx.metrics().count_node("busy_before_send", node, 1.0);
+            }
+            ctx.phy_tx(Frame::data(node, Address::Broadcast, 0, 20, false), 0);
+            if ctx.tx_in_flight() {
+                ctx.metrics().count_node("sends", node, 1.0);
+            }
+            ctx.schedule(SimDuration::from_millis(5), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut UpperCtx<'_>, _: u64) {
+            let node = ctx.node;
+            ctx.metrics().count_node("timers", node, 1.0);
+        }
+        fn on_deliver(&mut self, _: &mut UpperCtx<'_>, _: &Frame) {}
+        fn on_tx_result(&mut self, _: &mut UpperCtx<'_>, _: &Frame, _: TxResult) {}
+        fn on_phy_tx_end(&mut self, ctx: &mut UpperCtx<'_>, _: &Frame, _: &[NodeId]) {
+            let node = ctx.node;
+            ctx.metrics().count_node("tx_ends", node, 1.0);
+        }
+    }
+
+    #[test]
+    fn air_pool_frees_a_crashed_transmitters_entry() {
+        use crate::faults::FaultPlan;
+        // A 20-octet frame is on the air for about 1 ms. Node 0 crashes
+        // 200 µs into its frame and reboots at 3 ms. Its TX and upper
+        // generations start at u32::MAX, so the send wraps the TX one
+        // and the crash the upper one.
+        let mut sim = SimBuilder::new(Connectivity::full(3), 7)
+            .clock(FrameClock::all_cap(10, 1_000))
+            .mac_factory(|_, _| Box::new(NaiveMac))
+            .upper_factory(|_, _| Box::new(AirProbe))
+            .fault_plan(FaultPlan::new().crash_reboot(
+                0,
+                SimTime::from_micros(200),
+                SimDuration::from_micros(2_800),
+                false,
+            ))
+            .build();
+        sim.world.nodes.tx_gen[0] = u32::MAX;
+        sim.world.nodes.upper_gen[0] = u32::MAX;
+        let (n0, n1) = (NodeId(0), NodeId(1));
+
+        sim.run_until(SimTime::from_micros(100));
+        let air = &sim.world.nodes.air;
+        assert_eq!(air.entries.len(), 2, "two frames on the air");
+        assert!(air.on_air(0) && air.on_air(1) && !air.on_air(2));
+
+        // The crash freed node 0's entry; its stale TxEnd was ignored.
+        sim.run_until(SimTime::from_millis(2));
+        let air = &sim.world.nodes.air;
+        assert!(!air.on_air(0) && !air.on_air(1));
+        assert_eq!(sim.metrics().get_node("tx_ends", n0), 0.0);
+        assert_eq!(sim.metrics().get_node("tx_ends", n1), 1.0);
+
+        // The rebooted node sends again from a freed entry.
+        sim.run_until(SimTime::from_micros(3_100));
+        let air = &sim.world.nodes.air;
+        assert!(air.on_air(0));
+        assert_eq!(air.entries.len(), 2);
+
+        sim.run_until(SimTime::from_millis(20));
+        let m = sim.metrics();
+        assert_eq!(m.get_node("busy_before_send", n0), 0.0);
+        assert_eq!(m.get_node("sends", n0), 2.0);
+        assert_eq!(m.get_node("tx_ends", n0), 1.0);
+        // The timer armed before the crash is dropped; the one armed
+        // after the reboot fires once.
+        assert_eq!(m.get_node("timers", n0), 1.0);
+        assert_eq!(m.get_node("timers", n1), 1.0);
+        let air = &sim.world.nodes.air;
+        assert!(!air.on_air(0));
+        assert_eq!(air.entries.len(), 2);
+        assert_eq!(sim.world.nodes.tx_gen[0], 2);
+        assert_eq!(sim.world.nodes.upper_gen[0], 0);
+        assert_eq!(sim.world().medium().active_count(), 0);
     }
 
     #[test]

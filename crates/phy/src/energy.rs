@@ -57,26 +57,29 @@ impl PowerProfile {
 
 /// Integrates radio energy for one node.
 ///
-/// The meter integrates time only. The discrete operations the paper
-/// compares (§6.2.1), transmission attempts and CCAs, are counted by
-/// whoever drives the radio; [`EnergyMeter::finish`] leaves them at
-/// zero for the caller to fill in.
+/// The meter integrates time only, at the power of a [`PowerProfile`]
+/// its owner passes to every call: a world of many nodes keeps one
+/// profile, not one per meter, so a meter is 48 B. The discrete
+/// operations the paper compares (§6.2.1), transmission attempts and
+/// CCAs, are counted by whoever drives the radio;
+/// [`EnergyMeter::finish`] leaves them at zero for the caller to fill
+/// in.
 ///
 /// # Examples
 ///
 /// ```
 /// use qma_phy::{EnergyMeter, PowerProfile, RadioActivity};
 ///
-/// let mut meter = EnergyMeter::new(PowerProfile::default());
-/// meter.set_activity(0, RadioActivity::Listen);
-/// meter.set_activity(1_000_000, RadioActivity::Transmit); // after 1 s
-/// meter.set_activity(1_004_256, RadioActivity::Listen);   // 4.256 ms tx
-/// let report = meter.finish(2_000_000);
+/// let power = PowerProfile::default();
+/// let mut meter = EnergyMeter::new();
+/// meter.set_activity(&power, 0, RadioActivity::Listen);
+/// meter.set_activity(&power, 1_000_000, RadioActivity::Transmit); // after 1 s
+/// meter.set_activity(&power, 1_004_256, RadioActivity::Listen);   // 4.256 ms tx
+/// let report = meter.finish(&power, 2_000_000);
 /// assert!(report.total_mj > 0.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnergyMeter {
-    profile: PowerProfile,
     current: RadioActivity,
     since_us: u64,
     energy_uj: f64, // microjoules = mW × µs / 1000... see note below
@@ -102,13 +105,18 @@ pub struct EnergyReport {
     pub sleep_us: u64,
 }
 
+impl Default for EnergyMeter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl EnergyMeter {
     /// Creates a meter; the radio starts in [`RadioActivity::Listen`]
     /// at time 0 (contention MACs keep the transceiver on during the
     /// CAP, as the paper notes in §4).
-    pub fn new(profile: PowerProfile) -> Self {
+    pub fn new() -> Self {
         EnergyMeter {
-            profile,
             current: RadioActivity::Listen,
             since_us: 0,
             energy_uj: 0.0,
@@ -119,17 +127,17 @@ impl EnergyMeter {
     }
 
     /// Switches activity at absolute time `now_us`, accruing energy
-    /// for the elapsed interval.
-    pub fn set_activity(&mut self, now_us: u64, next: RadioActivity) {
-        self.accrue(now_us);
+    /// for the elapsed interval at `power`.
+    pub fn set_activity(&mut self, power: &PowerProfile, now_us: u64, next: RadioActivity) {
+        self.accrue(power, now_us);
         self.current = next;
     }
 
-    /// Closes the accounting period at `end_us` and returns the
-    /// report, with `tx_attempts` and `ccas` at zero. The meter can
-    /// continue to be used afterwards.
-    pub fn finish(&mut self, end_us: u64) -> EnergyReport {
-        self.accrue(end_us);
+    /// Closes the accounting period at `end_us`, accruing at `power`,
+    /// and returns the report, with `tx_attempts` and `ccas` at zero.
+    /// The meter can continue to be used afterwards.
+    pub fn finish(&mut self, power: &PowerProfile, end_us: u64) -> EnergyReport {
+        self.accrue(power, end_us);
         EnergyReport {
             // mW × µs = nJ; → mJ by 1e-6.
             total_mj: self.energy_uj * 1e-6,
@@ -141,13 +149,13 @@ impl EnergyMeter {
         }
     }
 
-    fn accrue(&mut self, now_us: u64) {
+    fn accrue(&mut self, power: &PowerProfile, now_us: u64) {
         let dt = now_us.saturating_sub(self.since_us);
         if dt == 0 {
             self.since_us = self.since_us.max(now_us);
             return;
         }
-        self.energy_uj += self.profile.power_mw(self.current) * dt as f64;
+        self.energy_uj += power.power_mw(self.current) * dt as f64;
         match self.current {
             RadioActivity::Sleep => self.sleep_us += dt,
             RadioActivity::Listen => self.listen_us += dt,
@@ -163,8 +171,9 @@ mod tests {
 
     #[test]
     fn pure_listening_energy() {
-        let mut m = EnergyMeter::new(PowerProfile::default());
-        let r = m.finish(1_000_000); // 1 s of listening at 37 mW
+        let p = PowerProfile::default();
+        let mut m = EnergyMeter::new();
+        let r = m.finish(&p, 1_000_000); // 1 s of listening at 37 mW
         assert!((r.total_mj - 37.0).abs() < 1e-9);
         assert_eq!(r.listen_us, 1_000_000);
         assert_eq!(r.transmit_us, 0);
@@ -177,11 +186,11 @@ mod tests {
             listen_mw: 10.0,
             transmit_mw: 100.0,
         };
-        let mut m = EnergyMeter::new(p);
-        m.set_activity(500_000, RadioActivity::Transmit); // 0.5 s listen
-        m.set_activity(600_000, RadioActivity::Sleep); // 0.1 s tx
-        let r = m.finish(1_000_000); // 0.4 s sleep
-                                     // 0.5 s·10 mW + 0.1 s·100 mW = 5 + 10 = 15 mJ.
+        let mut m = EnergyMeter::new();
+        m.set_activity(&p, 500_000, RadioActivity::Transmit); // 0.5 s listen
+        m.set_activity(&p, 600_000, RadioActivity::Sleep); // 0.1 s tx
+        let r = m.finish(&p, 1_000_000); // 0.4 s sleep
+                                         // 0.5 s·10 mW + 0.1 s·100 mW = 5 + 10 = 15 mJ.
         assert!((r.total_mj - 15.0).abs() < 1e-9);
         assert_eq!(r.listen_us, 500_000);
         assert_eq!(r.transmit_us, 100_000);
@@ -190,19 +199,21 @@ mod tests {
 
     #[test]
     fn out_of_order_updates_are_clamped() {
-        let mut m = EnergyMeter::new(PowerProfile::default());
-        m.set_activity(1000, RadioActivity::Transmit);
-        m.set_activity(500, RadioActivity::Listen); // late event
-        let r = m.finish(1000);
+        let p = PowerProfile::default();
+        let mut m = EnergyMeter::new();
+        m.set_activity(&p, 1000, RadioActivity::Transmit);
+        m.set_activity(&p, 500, RadioActivity::Listen); // late event
+        let r = m.finish(&p, 1000);
         assert_eq!(r.listen_us, 1000);
         assert_eq!(r.transmit_us, 0);
     }
 
     #[test]
     fn finish_is_resumable() {
-        let mut m = EnergyMeter::new(PowerProfile::default());
-        let r1 = m.finish(1_000_000);
-        let r2 = m.finish(2_000_000);
+        let p = PowerProfile::default();
+        let mut m = EnergyMeter::new();
+        let r1 = m.finish(&p, 1_000_000);
+        let r2 = m.finish(&p, 2_000_000);
         assert!(r2.total_mj > r1.total_mj);
         assert_eq!(r2.listen_us, 2_000_000);
     }

@@ -182,6 +182,9 @@ fn building_a_grid_requests_the_same_bytes_per_node_at_any_size() {
     // 2,025 and 4,096 nodes (32², 45² and 64²): the audibility graph
     // and every per-node table take O(n + E) bytes, so the bytes
     // requested per node stay within 5 % of the 4,096-node figure.
+    // That figure stays under a ceiling: about 1,570 B with the Q
+    // arena's split runs (702 B of it), the frames on air in a pool
+    // and no learner series, against 2,030 B before.
     let per_node: Vec<f64> = [1024, 2025, 4096]
         .into_iter()
         .map(|nodes| {
@@ -200,5 +203,9 @@ fn building_a_grid_requests_the_same_bytes_per_node_at_any_size() {
     assert!(
         per_node.iter().all(|b| (b / reference - 1.0).abs() <= 0.05),
         "bytes per node at 1,024, 2,025 and 4,096 nodes: {per_node:.0?}"
+    );
+    assert!(
+        reference <= 1_650.0,
+        "a 4,096-node grid requests {reference:.0} B per node, over the 1,650 B ceiling"
     );
 }

@@ -28,8 +28,11 @@ pub struct TimeSeries {
 
 impl TimeSeries {
     /// Creates an empty series.
-    pub fn new() -> Self {
-        TimeSeries::default()
+    pub const fn new() -> Self {
+        TimeSeries {
+            times: Vec::new(),
+            values: Vec::new(),
+        }
     }
 
     /// Appends a point.

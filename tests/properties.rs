@@ -51,6 +51,149 @@ fn wrap_matches_modulo<Q: QValue>(subslots: u16, steps: &[Step]) {
     }
 }
 
+/// One call on an arena table: `((kind, table), subslot, action,
+/// value, next subslot)`. Kinds 0–5 are an `update` with the value as reward,
+/// 6–8 a `set_q` of the value, 9 a `reset` to the value.
+type ArenaOp = ((u8, usize), u16, QmaAction, f32, u16);
+
+/// A plain-row model of one Q-table: each subslot's Q-values next to
+/// its policy in one tuple. It applies Eq. 5 through the same
+/// [`QValue`] operations as `QTable` and Eq. 3 as its rule reads: the
+/// first action holding the row's maximum replaces the policy only if
+/// that maximum is strictly greater than the policy's Q-value.
+struct RowModel<Q> {
+    rows: Vec<([Q; 3], QmaAction)>,
+}
+
+impl<Q: QValue> RowModel<Q> {
+    fn new(subslots: u16, init: f32) -> Self {
+        RowModel {
+            rows: vec![([Q::from_f32(init); 3], QmaAction::Backoff); subslots as usize],
+        }
+    }
+
+    fn qmax(&self, m: u16) -> Q {
+        let [b, c, s] = self.rows[m as usize].0;
+        b.take_max(c).take_max(s)
+    }
+
+    fn refresh(&mut self, m: u16) {
+        let max = self.qmax(m);
+        let (q, policy) = &mut self.rows[m as usize];
+        if max > q[policy.index()] {
+            *policy = QmaAction::ALL
+                .into_iter()
+                .find(|a| q[a.index()] == max)
+                .expect("the maximum is one of the row's values");
+        }
+    }
+
+    fn update(&mut self, m: u16, a: QmaAction, reward: f32, next: u16, p: &UpdateParams) -> Q {
+        let qmax_next = self.qmax(next % self.rows.len() as u16);
+        let q_old = self.rows[m as usize].0[a.index()];
+        let target = q_old.bellman_target(reward, qmax_next, p.alpha, p.gamma);
+        let new_q = q_old.penalized(p.xi).take_max(target);
+        self.rows[m as usize].0[a.index()] = new_q;
+        self.refresh(m);
+        new_q
+    }
+
+    fn set_q(&mut self, m: u16, a: QmaAction, value: Q) {
+        self.rows[m as usize].0[a.index()] = value;
+        self.refresh(m);
+    }
+
+    fn reset(&mut self, init: f32) {
+        self.rows.fill(([Q::from_f32(init); 3], QmaAction::Backoff));
+    }
+
+    fn policy_value_sum(&self) -> f64 {
+        self.rows
+            .iter()
+            .map(|(q, policy)| q[policy.index()].to_f32() as f64)
+            .sum()
+    }
+}
+
+/// The bits of a Q-value, so that a mismatch shows the raw values.
+fn bits<Q: QValue>(q: Q) -> u32 {
+    q.to_f32().to_bits()
+}
+
+/// Drives the tables of one arena through `ops` beside one
+/// [`RowModel`] per table, and after every call compares every table's
+/// `q`, `policy`, `qmax` and `policy_value_sum` with its model.
+fn arena_matches_row_model<Q: QValue>(tables: usize, subslots: u16, ops: &[ArenaOp]) {
+    let p = UpdateParams {
+        alpha: 0.5,
+        gamma: 0.9,
+        xi: 2.0,
+    };
+    let arena: QArena<Q> = QArena::new(tables, subslots, -10.0);
+    let mut real: Vec<QTable<Q>> = (0..tables).map(|t| arena.table(t)).collect();
+    let mut model: Vec<RowModel<Q>> = (0..tables)
+        .map(|_| RowModel::new(subslots, -10.0))
+        .collect();
+    for &((kind, t), m, a, v, next) in ops {
+        let (t, m) = (t % tables, m % subslots);
+        match kind {
+            0..=5 => {
+                let got = real[t].update(m, a, v, next, &p);
+                let want = model[t].update(m, a, v, next, &p);
+                prop_assert_eq!(bits(got), bits(want));
+            }
+            6..=8 => {
+                real[t].set_q(m, a, Q::from_f32(v));
+                model[t].set_q(m, a, Q::from_f32(v));
+            }
+            _ => {
+                real[t].reset(v);
+                model[t].reset(v);
+            }
+        }
+        for (u, (x, y)) in real.iter().zip(&model).enumerate() {
+            for s in 0..subslots {
+                for b in QmaAction::ALL {
+                    prop_assert_eq!(
+                        bits(x.q(s, b)),
+                        bits(y.rows[s as usize].0[b.index()]),
+                        "table {} subslot {} action {:?} after a call on table {}",
+                        u,
+                        s,
+                        b,
+                        t
+                    );
+                }
+                prop_assert_eq!(
+                    x.policy(s),
+                    y.rows[s as usize].1,
+                    "table {} subslot {}",
+                    u,
+                    s
+                );
+                prop_assert_eq!(bits(x.qmax(s)), bits(y.qmax(s)));
+            }
+            prop_assert_eq!(
+                x.policy_value_sum().to_bits(),
+                y.policy_value_sum().to_bits()
+            );
+        }
+    }
+}
+
+fn arb_arena_ops() -> impl Strategy<Value = Vec<ArenaOp>> {
+    prop::collection::vec(
+        (
+            (0u8..10, 0usize..5),
+            any::<u16>(),
+            arb_action(),
+            -12.0f32..=4.0,
+            any::<u16>(),
+        ),
+        0..150,
+    )
+}
+
 fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
     // Next subslots over all of u16, with the in-range values and both
     // ends of the range drawn often.
@@ -335,6 +478,20 @@ proptest! {
         let mut copy = in_arena[0].clone();
         copy.set_q(0, QmaAction::Send, 100.0);
         prop_assert_eq!(&in_arena[0], &alone[0]);
+    }
+
+    /// Arena tables, `f32` and `Fixed16`, against a plain-row model
+    /// under random `update`, `set_q` and `reset` calls on 1–5 tables
+    /// of 1–8 subslots (next subslots over all of `u16`).
+    #[test]
+    fn arena_tables_match_a_plain_row_model(
+        tables in 1usize..=5,
+        subslots in 1u16..=8,
+        f32_ops in arb_arena_ops(),
+        fixed_ops in arb_arena_ops()
+    ) {
+        arena_matches_row_model::<f32>(tables, subslots, &f32_ops);
+        arena_matches_row_model::<Fixed16>(tables, subslots, &fixed_ops);
     }
 
     /// Scheduler delivers every event exactly once, in non-decreasing
